@@ -53,12 +53,16 @@ CompositionOutcome finalize_direct(const BaselineContext& ctx, const workload::R
   }
 
   const double now = ctx.engine->now();
-  if (!graph->qualified(*ctx.sys, ctx.sys->true_state(), req.qos_req, req.policy, now)) {
+  stream::CompositionScratch scratch;
+  scratch.begin(req.graph);
+  const std::optional<double> phi =
+      graph->qualify(*ctx.sys, ctx.sys->true_state(), req.qos_req, req.policy, now, scratch);
+  if (!phi) {
     observe_outcome(ctx, req, out);
     return out;
   }
   out.found_qualified = true;
-  out.phi = graph->congestion_aggregation(*ctx.sys, ctx.sys->true_state(), now);
+  out.phi = *phi;
 
   const double end = req.arrival_time + req.duration_s;
   out.session = ctx.sessions->commit_direct(req.id, *graph, now, end);

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "stream/function_graph.h"
@@ -72,6 +73,13 @@ struct HopFilterStats {
   }
 };
 
+/// A qualified candidate with its (D, W) scores.
+struct ScoredCandidate {
+  stream::ComponentId id;
+  double risk;        ///< D(c), Eq. 9
+  double congestion;  ///< W(c), Eq. 10
+};
+
 /// Filters `candidates` by the paper's per-hop qualification (rate
 /// compatibility + Eqs. 6–8) against `view`. When `stats` is non-null,
 /// every dropped candidate is attributed to the first check it failed
@@ -81,22 +89,15 @@ std::vector<stream::ComponentId> filter_qualified(const HopContext& ctx,
                                                   const std::vector<stream::ComponentId>& candidates,
                                                   HopFilterStats* stats = nullptr);
 
-/// Allocation-free variant: appends qualified candidates to `out` (any
-/// push_back container, e.g. util::ArenaVector) in input order — identical
-/// output to filter_qualified. The probing hot path feeds this from a
-/// per-trial arena so a hop costs zero allocator calls.
-template <typename OutVec>
+/// The fused per-hop pass behind filter_qualified: appends each qualified
+/// candidate to `out` (any push_back container of ScoredCandidate, e.g.
+/// util::ArenaVector) in input order, scored from the same single walk of
+/// its virtual link — the walk's QoS total gives D(c) and its bottleneck
+/// gives W(c), bit-identical to risk_function / congestion_function.
+template <typename ScoredVec>
 void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
-                           const std::vector<stream::ComponentId>& candidates, OutVec& out,
+                           const std::vector<stream::ComponentId>& candidates, ScoredVec& out,
                            HopFilterStats* stats = nullptr);
-
-/// A candidate with its (D, W) scores — select_best's sorting scratch,
-/// public so arena callers can supply the scratch container themselves.
-struct ScoredCandidate {
-  stream::ComponentId id;
-  double risk;
-  double congestion;
-};
 
 /// Ranking rule for guided per-hop selection. The paper uses
 /// kRiskThenCongestion; the others exist for the ranking ablation
@@ -107,20 +108,20 @@ enum class RankingPolicy {
   kCongestionOnly,      ///< W(c) only
 };
 
-/// Keeps the best `m` of `qualified` by (D, then W within `risk_eps`).
+/// Keeps the best `m` of `qualified` by (D, then W within `risk_eps`),
+/// scoring each with risk_function / congestion_function.
 /// Deterministic: ties beyond W break by component id.
 std::vector<stream::ComponentId> select_best(const HopContext& ctx, const stream::StateView& view,
                                              std::vector<stream::ComponentId> qualified,
                                              std::size_t m, double risk_eps,
                                              RankingPolicy policy = RankingPolicy::kRiskThenCongestion);
 
-/// In-place variant: truncates `qualified` (any random-access container) to
-/// the best m using caller-supplied `scored` scratch — same ranking, same
-/// ties, same result order as select_best, no allocation when the scratch
-/// comes from an arena. Leaves `qualified` untouched when it already fits.
-template <typename Vec, typename ScoredVec>
-void select_best_into(const HopContext& ctx, const stream::StateView& view, Vec& qualified,
-                      std::size_t m, double risk_eps, RankingPolicy policy, ScoredVec& scored);
+/// In-place ranking of already-scored candidates (any random-access
+/// container): truncates `scored` to the best m — same ranking, same ties,
+/// same result order as select_best. Leaves `scored` untouched when it
+/// already fits.
+template <typename ScoredVec>
+void select_best_into(ScoredVec& scored, std::size_t m, double risk_eps, RankingPolicy policy);
 
 /// Uniformly random `m` of `qualified` (the RP baseline's per-hop rule).
 std::vector<stream::ComponentId> select_random(std::vector<stream::ComponentId> qualified,
@@ -143,12 +144,13 @@ std::size_t probe_count(std::size_t k, double alpha);
 // ---- Template implementations (shared by the std::vector wrappers in
 // candidate_selection.cpp and the arena-backed hot path in probing.cpp).
 
-template <typename OutVec>
+template <typename ScoredVec>
 void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
-                           const std::vector<stream::ComponentId>& candidates, OutVec& out,
+                           const std::vector<stream::ComponentId>& candidates, ScoredVec& out,
                            HopFilterStats* stats) {
   HopFilterStats local;
   const stream::ResourceVector& required = ctx.req->graph.node(ctx.next_fn).required;
+  const net::OverlayMesh& mesh = ctx.sys->mesh();
   for (stream::ComponentId c : candidates) {
     const stream::Component& cand = ctx.sys->component(c);
 
@@ -164,51 +166,61 @@ void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
       continue;
     }
 
+    // One walk of the virtual link to the candidate yields both its QoS
+    // (summed in path order, as StateView::virtual_link_qos does) and, when
+    // the edge carries bandwidth, its bottleneck availability (as
+    // StateView::virtual_link_available_kbps does). Co-location walks
+    // nothing: zero QoS, no bandwidth check.
+    stream::QoSVector link_qos;
+    double bottleneck = std::numeric_limits<double>::infinity();
+    const bool checks_bandwidth =
+        ctx.has_upstream && ctx.current_node != cand.node && ctx.edge_bw_kbps > 0.0;
+    if (ctx.has_upstream && ctx.current_node != cand.node) {
+      mesh.for_each_virtual_link(ctx.current_node, cand.node, [&](net::OverlayLinkIndex l) {
+        link_qos += view.link_qos(l, ctx.now);
+        if (checks_bandwidth) {
+          bottleneck = std::min(bottleneck, view.link_available_kbps(l, ctx.now));
+        }
+      });
+    }
+
     // Eq. 6: QoS accumulation must stay within the requirement.
     stream::QoSVector total = ctx.accumulated;
     total += view.component_qos(c, ctx.now);
-    if (ctx.has_upstream) {
-      total += view.virtual_link_qos(ctx.sys->mesh(), ctx.current_node, cand.node, ctx.now);
-    }
+    if (ctx.has_upstream) total += link_qos;
     if (!total.satisfies(ctx.req->qos_req)) {
       ++local.qos_bound;
       continue;
     }
 
     // Eq. 7: candidate node must have the end-system resources.
-    if (!required.fits_within(view.node_available(cand.node, ctx.now))) {
+    const stream::ResourceVector avail = view.node_available(cand.node, ctx.now);
+    if (!required.fits_within(avail)) {
       ++local.node_resources;
       continue;
     }
 
     // Eq. 8: the virtual link to the candidate must carry the edge's
     // bandwidth (co-location trivially passes).
-    if (ctx.has_upstream && ctx.current_node != cand.node && ctx.edge_bw_kbps > 0.0) {
-      const double ba =
-          view.virtual_link_available_kbps(ctx.sys->mesh(), ctx.current_node, cand.node, ctx.now);
-      if (ctx.edge_bw_kbps > ba) {
-        ++local.link_bandwidth;
-        continue;
-      }
+    if (checks_bandwidth && ctx.edge_bw_kbps > bottleneck) {
+      ++local.link_bandwidth;
+      continue;
     }
 
-    out.push_back(c);
+    // D(c) (Eq. 9) and W(c) (Eq. 10) from the values just read.
+    double congestion = stream::congestion_terms(required, avail - required);
+    if (checks_bandwidth) {
+      congestion += stream::congestion_term(ctx.edge_bw_kbps, bottleneck - ctx.edge_bw_kbps);
+    }
+    out.push_back(ScoredCandidate{c, total.max_ratio(ctx.req->qos_req), congestion});
   }
   if (stats != nullptr) *stats = local;
 }
 
-template <typename Vec, typename ScoredVec>
-void select_best_into(const HopContext& ctx, const stream::StateView& view, Vec& qualified,
-                      std::size_t m, double risk_eps, RankingPolicy policy, ScoredVec& scored) {
+template <typename ScoredVec>
+void select_best_into(ScoredVec& scored, std::size_t m, double risk_eps, RankingPolicy policy) {
   ACP_REQUIRE(risk_eps >= 0.0);
-  if (qualified.size() <= m) return;
-
-  scored.clear();
-  scored.reserve(qualified.size());
-  for (stream::ComponentId c : qualified) {
-    scored.push_back(
-        ScoredCandidate{c, risk_function(ctx, view, c), congestion_function(ctx, view, c)});
-  }
+  if (scored.size() <= m) return;
   std::sort(scored.begin(), scored.end(), [&](const ScoredCandidate& a, const ScoredCandidate& b) {
     switch (policy) {
       case RankingPolicy::kRiskOnly:
@@ -225,9 +237,7 @@ void select_best_into(const HopContext& ctx, const stream::StateView& view, Vec&
     }
     return a.id < b.id;
   });
-
-  qualified.resize(m);
-  for (std::size_t i = 0; i < m; ++i) qualified[i] = scored[i].id;
+  scored.resize(m);
 }
 
 }  // namespace acp::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 namespace acp::core {
 
@@ -56,12 +57,16 @@ struct ProbingProtocol::Coordinator {
   std::uint32_t stream = 0;  ///< private event stream (req.id + 1); 0 = serial
   util::Rng rng{0};          ///< request-derived: selection + fault draws
   std::uint64_t next_probe_id = 0;
-  /// Admissions this request's probes made against window-frozen pool
-  /// state, pending application at the barrier. A claim is recorded once
-  /// per (pool, tag) — mirroring the pools' one-reservation-per-(request,
-  /// tag) dedupe — and never expires within the cascade (TTL 60 s vs a
-  /// ≤ 10 s probe deadline), so "frozen available minus other-tag claims"
-  /// reproduces the serial admission arithmetic exactly.
+
+  /// Every pool this request's probes reserved on: finalize cancels the
+  /// request's transients on these pools only. Serial mode appends one
+  /// claim per successful reservation (refreshes repeat a pool). Sharded
+  /// mode records the admissions made against window-frozen pool state,
+  /// pending application at the barrier: once per (pool, tag) — mirroring
+  /// the pools' one-reservation-per-(request, tag) dedupe — and never
+  /// expiring within the cascade (TTL 60 s vs a ≤ 10 s probe deadline), so
+  /// "frozen available minus other-tag claims" reproduces the serial
+  /// admission arithmetic exactly.
   struct NodeClaim {
     NodeId node;
     std::uint32_t tag;
@@ -144,7 +149,9 @@ bool ProbingProtocol::admit_node(Coordinator& coord, std::uint32_t tag, NodeId n
                                  double expires_at) {
   const stream::RequestId rid = coord.req->id;
   if (shard_ == nullptr) {
-    return sys_->reserve_node_transient(rid, tag, node, amount, now, expires_at);
+    if (!sys_->reserve_node_transient(rid, tag, node, amount, now, expires_at)) return false;
+    coord.node_claims.push_back({node, tag, amount});
+    return true;
   }
   stream::StreamSystem* sys = sys_;
   const auto apply = [sys, rid, tag, node, amount, now, expires_at] {
@@ -169,10 +176,15 @@ bool ProbingProtocol::admit_node(Coordinator& coord, std::uint32_t tag, NodeId n
 bool ProbingProtocol::admit_link(Coordinator& coord, std::uint32_t tag, NodeId a, NodeId b,
                                  double kbps, double now, double expires_at) {
   const stream::RequestId rid = coord.req->id;
+  if (a == b) return true;  // co-located: no bandwidth consumed
   if (shard_ == nullptr) {
-    return sys_->reserve_virtual_link_transient(rid, tag, a, b, kbps, now, expires_at);
+    if (!sys_->reserve_virtual_link_transient(rid, tag, a, b, kbps, now, expires_at)) {
+      return false;
+    }
+    sys_->mesh().for_each_virtual_link(
+        a, b, [&](net::OverlayLinkIndex l) { coord.link_claims.push_back({l, tag, kbps}); });
+    return true;
   }
-  if (a == b) return true;
   // All-or-nothing across the virtual link's overlay links, like the serial
   // reserve: admit every link against the frozen view (minus this request's
   // own other-tag claims) before recording anything.
@@ -470,12 +482,12 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
     if (coord->hop_policy == PerHopPolicy::kGuided) {
       // Filter + rank on the coarse global state (possibly stale — that is
       // the point: precise state comes from the probes themselves).
-      filter_qualified_into(ctx, *global_view_, candidates, selected, &filter_stats);
-      const std::size_t n_qualified = selected.size();
       util::ArenaVector<ScoredCandidate> scored(scratch_);
-      select_best_into(ctx, *global_view_, selected, m, config_.risk_eps, config_.ranking,
-                       scored);
-      rank_cutoff = n_qualified - selected.size();
+      filter_qualified_into(ctx, *global_view_, candidates, scored, &filter_stats);
+      const std::size_t n_qualified = scored.size();
+      select_best_into(scored, m, config_.risk_eps, config_.ranking);
+      rank_cutoff = n_qualified - scored.size();
+      for (const ScoredCandidate& s : scored) selected.push_back(s.id);
     } else {
       // RP: random selection among discovered, rate-compatible candidates.
       for (ComponentId c : candidates) {
@@ -665,10 +677,14 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
   // Qualify against precise state and apply the selection policy. The view
   // is scoped to the request: its own transient reservations (placed by its
   // probes exactly so these resources are held for it) read as available.
+  // One fused pass per graph yields the verdict and φ together.
   const stream::StreamSystem::RequestScopedView view(*sys_, req.id);
-  std::vector<std::size_t> qualified;
+  compose_scratch_.begin(req.graph);
+  std::vector<Qualified> qualified;
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    if (graphs[i].qualified(*sys_, view, req.qos_req, req.policy, now)) qualified.push_back(i);
+    const std::optional<double> phi =
+        graphs[i].qualify(*sys_, view, req.qos_req, req.policy, now, compose_scratch_);
+    if (phi) qualified.push_back(Qualified{*phi, i});
   }
   out.candidates_qualified = qualified.size();
 
@@ -676,112 +692,124 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
     // Sharded: the merge + qualification above ran against the window-frozen
     // view on this shard's worker; winner selection and commit move to the
     // barrier, where pool state is live.
-    finalize_sharded(coord, std::move(graphs), qualified, out.candidates_examined, cap_hit);
+    finalize_sharded(coord, std::move(graphs), std::move(qualified), out.candidates_examined,
+                     cap_hit);
     attr_wall.reset();
     prof.reset();
     return;
   }
 
-  std::optional<std::size_t> winner;
+  std::optional<Qualified> winner;
   if (!qualified.empty()) {
     if (coord->selection_policy == SelectionPolicy::kBestPhi) {
-      double best_phi = 0.0;
-      for (std::size_t i : qualified) {
-        const double phi = graphs[i].congestion_aggregation(*sys_, view, now);
-        if (!winner || phi < best_phi) {
-          winner = i;
-          best_phi = phi;
-        }
+      for (const Qualified& q : qualified) {
+        if (!winner || q.phi < winner->phi) winner = q;
       }
     } else {
       winner = qualified[rng_.below(qualified.size())];
     }
   }
-
-  if (winner) {
-    out.found_qualified = true;
-    out.phi = graphs[*winner].congestion_aggregation(*sys_, view, now);
-    const double end = req.arrival_time + req.duration_s;
-    out.session = sessions_->commit_probed(req.id, graphs[*winner], now, end);
-    // Confirmation messages travel the composition (one per component).
-    counters_->add(sim::counter::kConfirmation, req.graph.node_count());
-  } else {
-    sys_->cancel_request(req.id);
-  }
-
-  if (obs_ != nullptr) {
-    const double setup_s = now - coord->start_time;
-    const char* outcome = out.success() ? "confirmed" : "failed";
-    // The request's end-to-end setup latency, attributed to its deputy —
-    // "which coordinators' requests waited longest, and where".
-    attr_->record(obs::attr_phase::kFinalize, static_cast<std::int64_t>(coord->deputy), -1,
-                  setup_s);
-    obs_->metrics
-        .counter(out.success() ? obs::metric::kRequestConfirmed : obs::metric::kRequestFailed)
-        .add();
-    obs_->metrics
-        .histogram(obs::metric::kRequestSetupTime, obs::duration_bounds_s(),
-                   {{"outcome", outcome}})
-        .observe(setup_s);
-    if (out.success()) {
-      obs_->tracer.event("composition_confirmed")
-          .field("req", req.id)
-          .field("session", out.session)
-          .field("phi", out.phi)
-          .field("merged", out.candidates_examined)
-          .field("qualified", out.candidates_qualified)
-          .field("cap_hit", cap_hit)
-          .field("setup_s", setup_s);
-      // Losing candidates' transient reservations were dropped by the
-      // commit; the winner's were confirmed into the session.
-      obs_->tracer.event("transients_cancelled").field("req", req.id).field("scope", "losers");
-    } else {
-      obs_->tracer.event("composition_failed")
-          .field("req", req.id)
-          .field("merged", out.candidates_examined)
-          .field("qualified", out.candidates_qualified)
-          .field("found_qualified", out.found_qualified)
-          .field("setup_s", setup_s);
-      obs_->tracer.event("transients_cancelled").field("req", req.id).field("scope", "all");
-    }
-  }
+  if (winner) out.phi = winner->phi;
+  conclude(*coord, winner ? &graphs[winner->index] : nullptr, out, cap_hit, now);
   attr_wall.reset();
   prof.reset();
 
   coord->done(out);
 }
 
+stream::HeldPools ProbingProtocol::held_pools(const Coordinator& coord) {
+  // Serial claims repeat a pool on every refresh. One stamp per pool (node
+  // pools first, then link pools) keeps each pool once without sorting.
+  if (pool_stamp_.empty()) pool_stamp_.assign(sys_->node_count() + sys_->mesh().link_count(), 0);
+  ++stamp_;
+  held_nodes_.clear();
+  held_links_.clear();
+  for (const auto& c : coord.node_claims) {
+    if (std::exchange(pool_stamp_[c.node], stamp_) != stamp_) held_nodes_.push_back(c.node);
+  }
+  const std::size_t link_base = sys_->node_count();
+  for (const auto& c : coord.link_claims) {
+    if (std::exchange(pool_stamp_[link_base + c.link], stamp_) != stamp_) {
+      held_links_.push_back(c.link);
+    }
+  }
+  return stream::HeldPools{held_nodes_, held_links_};
+}
+
+void ProbingProtocol::conclude(const Coordinator& coord, const stream::ComponentGraph* winner,
+                               CompositionOutcome& out, bool cap_hit, double now) {
+  const workload::Request& req = *coord.req;
+  const stream::HeldPools held = held_pools(coord);
+  if (winner != nullptr) {
+    out.found_qualified = true;
+    const double end = req.arrival_time + req.duration_s;
+    out.session = sessions_->commit_probed(req.id, *winner, held, now, end);
+    // Confirmation messages travel the composition (one per component).
+    counters_->add(sim::counter::kConfirmation, req.graph.node_count());
+  } else {
+    sys_->cancel_request(req.id, held);
+  }
+
+  if (obs_ == nullptr) return;
+  const double setup_s = now - coord.start_time;
+  const char* outcome = out.success() ? "confirmed" : "failed";
+  // The request's end-to-end setup latency, attributed to its deputy —
+  // "which coordinators' requests waited longest, and where".
+  attr_->record(obs::attr_phase::kFinalize, static_cast<std::int64_t>(coord.deputy), -1, setup_s);
+  obs_->metrics
+      .counter(out.success() ? obs::metric::kRequestConfirmed : obs::metric::kRequestFailed)
+      .add();
+  obs_->metrics
+      .histogram(obs::metric::kRequestSetupTime, obs::duration_bounds_s(), {{"outcome", outcome}})
+      .observe(setup_s);
+  if (out.success()) {
+    obs_->tracer.event("composition_confirmed")
+        .field("req", req.id)
+        .field("session", out.session)
+        .field("phi", out.phi)
+        .field("merged", out.candidates_examined)
+        .field("qualified", out.candidates_qualified)
+        .field("cap_hit", cap_hit)
+        .field("setup_s", setup_s);
+    // Losing candidates' transient reservations were dropped by the
+    // commit; the winner's were confirmed into the session.
+    obs_->tracer.event("transients_cancelled").field("req", req.id).field("scope", "losers");
+  } else {
+    obs_->tracer.event("composition_failed")
+        .field("req", req.id)
+        .field("merged", out.candidates_examined)
+        .field("qualified", out.candidates_qualified)
+        .field("found_qualified", out.found_qualified)
+        .field("setup_s", setup_s);
+    obs_->tracer.event("transients_cancelled").field("req", req.id).field("scope", "all");
+  }
+}
+
 void ProbingProtocol::finalize_sharded(const std::shared_ptr<Coordinator>& coord,
                                        std::vector<stream::ComponentGraph>&& graphs,
-                                       const std::vector<std::size_t>& qualified,
-                                       std::size_t examined, bool cap_hit) {
-  const workload::Request& req = *coord->req;
-  const double frozen_now = sim_now();
-
+                                       std::vector<Qualified>&& qualified, std::size_t examined,
+                                       bool cap_hit) {
   // Ranked preference order against the window-frozen view. The head entry
   // is exactly the serial winner whenever frozen and live state agree; the
   // tail is the fallback order for the rare case the barrier's
   // re-qualification rejects an earlier preference because a concurrent
   // request claimed the resources first within this window.
   std::vector<std::size_t> ranked;
+  ranked.reserve(qualified.size());
   if (!qualified.empty()) {
     if (coord->selection_policy == SelectionPolicy::kBestPhi) {
-      const stream::StreamSystem::RequestScopedView view(*sys_, req.id);
-      std::vector<std::pair<double, std::size_t>> scored;
-      scored.reserve(qualified.size());
-      for (const std::size_t i : qualified) {
-        scored.emplace_back(graphs[i].congestion_aggregation(*sys_, view, frozen_now), i);
-      }
-      std::sort(scored.begin(), scored.end());
-      ranked.reserve(scored.size());
-      for (const auto& s : scored) ranked.push_back(s.second);
+      // φ came from the qualification pass on the same frozen view.
+      std::sort(qualified.begin(), qualified.end(), [](const Qualified& a, const Qualified& b) {
+        return a.phi != b.phi ? a.phi < b.phi : a.index < b.index;
+      });
+      for (const Qualified& q : qualified) ranked.push_back(q.index);
     } else {
       // Random-qualified: one draw picks the preferred winner; the rest
       // follow in index order as fallbacks.
       const auto pick = static_cast<std::size_t>(coord->rng.below(qualified.size()));
-      ranked.push_back(qualified[pick]);
+      ranked.push_back(qualified[pick].index);
       for (std::size_t j = 0; j < qualified.size(); ++j) {
-        if (j != pick) ranked.push_back(qualified[j]);
+        if (j != pick) ranked.push_back(qualified[j].index);
       }
     }
   }
@@ -796,59 +824,20 @@ void ProbingProtocol::finalize_sharded(const std::shared_ptr<Coordinator>& coord
     out.candidates_qualified = frozen_qualified;
 
     // Commit-time re-qualification against live pool state: first ranked
-    // preference that still satisfies Eqs. 2–5 wins.
+    // preference that still satisfies Eqs. 2–5 wins, with its live φ.
     const stream::StreamSystem::RequestScopedView view(*sys_, creq.id);
-    std::optional<std::size_t> winner;
+    compose_scratch_.begin(creq.graph);
+    const stream::ComponentGraph* winner = nullptr;
     for (const std::size_t i : ranked) {
-      if ((*shared_graphs)[i].qualified(*sys_, view, creq.qos_req, creq.policy, now)) {
-        winner = i;
+      const std::optional<double> phi = (*shared_graphs)[i].qualify(
+          *sys_, view, creq.qos_req, creq.policy, now, compose_scratch_);
+      if (phi) {
+        winner = &(*shared_graphs)[i];
+        out.phi = *phi;
         break;
       }
     }
-
-    if (winner) {
-      out.found_qualified = true;
-      out.phi = (*shared_graphs)[*winner].congestion_aggregation(*sys_, view, now);
-      const double end = creq.arrival_time + creq.duration_s;
-      out.session = sessions_->commit_probed(creq.id, (*shared_graphs)[*winner], now, end);
-      counters_->add(sim::counter::kConfirmation, creq.graph.node_count());
-    } else {
-      sys_->cancel_request(creq.id);
-    }
-
-    if (obs_ != nullptr) {
-      const double setup_s = now - coord->start_time;
-      const char* outcome = out.success() ? "confirmed" : "failed";
-      attr_->record(obs::attr_phase::kFinalize, static_cast<std::int64_t>(coord->deputy), -1,
-                    setup_s);
-      obs_->metrics
-          .counter(out.success() ? obs::metric::kRequestConfirmed : obs::metric::kRequestFailed)
-          .add();
-      obs_->metrics
-          .histogram(obs::metric::kRequestSetupTime, obs::duration_bounds_s(),
-                     {{"outcome", outcome}})
-          .observe(setup_s);
-      if (out.success()) {
-        obs_->tracer.event("composition_confirmed")
-            .field("req", creq.id)
-            .field("session", out.session)
-            .field("phi", out.phi)
-            .field("merged", out.candidates_examined)
-            .field("qualified", out.candidates_qualified)
-            .field("cap_hit", cap_hit)
-            .field("setup_s", setup_s);
-        obs_->tracer.event("transients_cancelled").field("req", creq.id).field("scope", "losers");
-      } else {
-        obs_->tracer.event("composition_failed")
-            .field("req", creq.id)
-            .field("merged", out.candidates_examined)
-            .field("qualified", out.candidates_qualified)
-            .field("found_qualified", out.found_qualified)
-            .field("setup_s", setup_s);
-        obs_->tracer.event("transients_cancelled").field("req", creq.id).field("scope", "all");
-      }
-    }
-
+    conclude(*coord, winner, out, cap_hit, now);
     coord->done(out);
   });
 }

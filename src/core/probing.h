@@ -166,14 +166,30 @@ class ProbingProtocol : public ProbingExecutor {
   void probe_ended(const std::shared_ptr<Coordinator>& coord);
   void finalize(const std::shared_ptr<Coordinator>& coord);
 
-  /// Sharded finalize tail: ranks the qualified compositions against the
-  /// window-frozen view (the worker side), then defers commit as an op that
-  /// re-qualifies the ranked list against live pool state at the barrier
-  /// and commits the first survivor.
+  /// A merged graph that passed qualification, with its φ from the same
+  /// fused pass.
+  struct Qualified {
+    double phi;
+    std::size_t index;  ///< into the merged graphs
+  };
+
+  /// Sharded finalize tail: ranks the qualified compositions by their φ on
+  /// the window-frozen view (the worker side), then defers commit as an op
+  /// that re-qualifies the ranked list against live pool state at the
+  /// barrier and commits the first survivor.
   void finalize_sharded(const std::shared_ptr<Coordinator>& coord,
                         std::vector<stream::ComponentGraph>&& graphs,
-                        const std::vector<std::size_t>& qualified, std::size_t examined,
-                        bool cap_hit);
+                        std::vector<Qualified>&& qualified, std::size_t examined, bool cap_hit);
+
+  /// Finalize tail shared by both paths: commits `winner` (null = none
+  /// qualified) or cancels the request's transients, both on the pools its
+  /// probes reserved, then records the outcome's observability. `out.phi`
+  /// already holds the winner's φ.
+  void conclude(const Coordinator& coord, const stream::ComponentGraph* winner,
+                CompositionOutcome& out, bool cap_hit, double now);
+
+  /// The distinct pools `coord`'s claims name, in held_nodes_/held_links_.
+  stream::HeldPools held_pools(const Coordinator& coord);
 
   // ---- Serial/sharded dispatch helpers ------------------------------------
   // Each branches on shard_: the serial path is byte-identical to the
@@ -239,6 +255,15 @@ class ProbingProtocol : public ProbingExecutor {
   /// zero allocator calls. The protocol is per-trial, so this needs no
   /// synchronization under the parallel trial runner.
   util::Arena scratch_;
+  /// Deputy-side scratch: the fused qualification pass and the pools a
+  /// finalizing request holds. Per instance, never shared — shard workers
+  /// finalize concurrently on their own instances, and barrier ops run
+  /// while every worker is parked.
+  stream::CompositionScratch compose_scratch_;
+  std::vector<stream::NodeId> held_nodes_;
+  std::vector<net::OverlayLinkIndex> held_links_;
+  std::vector<std::uint64_t> pool_stamp_;  ///< per pool: last held_pools() call naming it
+  std::uint64_t stamp_ = 0;
   std::uint64_t retries_sent_ = 0;
   std::uint64_t deputy_reelections_ = 0;
   std::uint64_t live_probes_ = 0;  ///< Σ outstanding over live coordinators

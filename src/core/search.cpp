@@ -9,7 +9,6 @@ namespace {
 
 using stream::ComponentGraph;
 using stream::ComponentId;
-using stream::FnEdgeIndex;
 using stream::FnNodeIndex;
 using stream::FunctionGraph;
 using stream::QoSVector;
@@ -31,6 +30,7 @@ std::vector<PathAssignment> walk_path(const StreamSystem& sys, const workload::R
                                       const PathWalkConfig& cfg, bool* cap_hit) {
   std::vector<PathAssignment> partials(1);  // one empty prefix
   const FunctionGraph& fg = req.graph;
+  std::vector<ScoredCandidate> scored;
 
   for (std::size_t level = 0; level < path.size(); ++level) {
     const FnNodeIndex fn = path[level];
@@ -52,13 +52,15 @@ std::vector<PathAssignment> walk_path(const StreamSystem& sys, const workload::R
         ctx.edge_bw_kbps = fg.edge(fg.find_edge(path[level - 1], fn)).required_bandwidth_kbps;
       }
 
-      auto qualified = filter_qualified(ctx, view, candidates);
+      scored.clear();
+      filter_qualified_into(ctx, view, candidates, scored);
       if (cfg.bounded) {
         const std::size_t m = probe_count(candidates.size(), cfg.alpha);
-        qualified = select_best(ctx, view, std::move(qualified), m, cfg.risk_eps);
+        select_best_into(scored, m, cfg.risk_eps, RankingPolicy::kRiskThenCongestion);
       }
 
-      for (ComponentId c : qualified) {
+      for (const ScoredCandidate& s : scored) {
+        const ComponentId c = s.id;
         PathAssignment ext = prefix;
         ext.components.push_back(c);
         ext.accumulated += view.component_qos(c, now);
@@ -87,14 +89,17 @@ std::optional<ComponentGraph> best_of(const StreamSystem& sys, const workload::R
                                       SearchStats* stats) {
   std::optional<ComponentGraph> best;
   double best_phi = 0.0;
+  stream::CompositionScratch scratch;
+  scratch.begin(req.graph);
   for (auto& g : graphs) {
     if (stats) ++stats->examined;
-    if (!g.qualified(sys, eval_view, req.qos_req, req.policy, now)) continue;
+    const std::optional<double> phi =
+        g.qualify(sys, eval_view, req.qos_req, req.policy, now, scratch);
+    if (!phi) continue;
     if (stats) ++stats->qualified;
-    const double phi = g.congestion_aggregation(sys, eval_view, now);
-    if (!best || phi < best_phi) {
+    if (!best || *phi < best_phi) {
       best = std::move(g);
-      best_phi = phi;
+      best_phi = *phi;
     }
   }
   return best;
@@ -164,92 +169,6 @@ std::vector<ComponentGraph> merge_path_assignments(
 
 namespace {
 
-/// Flat, allocation-light exact evaluator for a full assignment. QoS along
-/// every source→sink path is already guaranteed by the QoS-pruned path walk,
-/// so only Eq. 4/5 feasibility and φ remain.
-class FastEvaluator {
- public:
-  FastEvaluator(const StreamSystem& sys, const workload::Request& req,
-                const stream::StateView& view, double now)
-      : sys_(sys), req_(req), view_(view), now_(now) {}
-
-  /// Returns φ(λ), or a negative value when the assignment is infeasible.
-  double evaluate(const std::vector<ComponentId>& assignment) {
-    const FunctionGraph& fg = req_.graph;
-
-    // Aggregate node demand (co-location aware).
-    node_agg_.clear();
-    for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
-      add_to(node_agg_, sys_.component(assignment[i]).node, fg.node(i).required);
-    }
-    for (const auto& [node, demand] : node_agg_) {
-      if (!demand.fits_within(view_.node_available(node, now_))) return -1.0;
-    }
-
-    // Aggregate per-overlay-link bandwidth demand.
-    link_agg_.clear();
-    for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
-      const auto& edge = fg.edge(e);
-      const stream::NodeId a = sys_.component(assignment[edge.from]).node;
-      const stream::NodeId b = sys_.component(assignment[edge.to]).node;
-      if (a == b) continue;
-      sys_.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-        add_to(link_agg_, l, edge.required_bandwidth_kbps);
-      });
-    }
-    for (const auto& [link, kbps] : link_agg_) {
-      if (kbps > view_.link_available_kbps(link, now_)) return -1.0;
-    }
-
-    // φ(λ): node terms with co-location-aware residuals, then link terms.
-    double phi = 0.0;
-    for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
-      const stream::NodeId node = sys_.component(assignment[i]).node;
-      const stream::ResourceVector avail = view_.node_available(node, now_);
-      phi += stream::congestion_terms(fg.node(i).required, avail - find_in(node_agg_, node));
-    }
-    for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
-      const auto& edge = fg.edge(e);
-      const stream::NodeId a = sys_.component(assignment[edge.from]).node;
-      const stream::NodeId b = sys_.component(assignment[edge.to]).node;
-      if (a == b) continue;
-      double residual = std::numeric_limits<double>::infinity();
-      sys_.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-        residual =
-            std::min(residual, view_.link_available_kbps(l, now_) - find_in(link_agg_, l));
-      });
-      phi += stream::congestion_term(edge.required_bandwidth_kbps, residual);
-    }
-    return phi;
-  }
-
- private:
-  template <typename K, typename V>
-  static void add_to(std::vector<std::pair<K, V>>& vec, K key, const V& amount) {
-    for (auto& [k, v] : vec) {
-      if (k == key) {
-        v += amount;
-        return;
-      }
-    }
-    vec.emplace_back(key, amount);
-  }
-  template <typename K, typename V>
-  static const V& find_in(const std::vector<std::pair<K, V>>& vec, K key) {
-    for (const auto& [k, v] : vec) {
-      if (k == key) return v;
-    }
-    throw InvariantError("aggregate lookup miss");
-  }
-
-  const StreamSystem& sys_;
-  const workload::Request& req_;
-  const stream::StateView& view_;
-  double now_;
-  std::vector<std::pair<stream::NodeId, stream::ResourceVector>> node_agg_;
-  std::vector<std::pair<net::OverlayLinkIndex, double>> link_agg_;
-};
-
 /// Independent (no cross-component aggregation) congestion estimate of a
 /// path assignment — a provable LOWER bound on the assignment's contribution
 /// to φ, because co-location/link sharing only shrinks residuals and thus
@@ -299,7 +218,9 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
     }
   }
 
-  FastEvaluator evaluator(sys, req, view, now);
+  // QoS along every source→sink path is already guaranteed by the
+  // QoS-pruned path walk, so only Eq. 4/5 feasibility and φ remain.
+  stream::Footprint footprint;
   std::optional<std::vector<ComponentId>> best_assignment;
   double best_phi = std::numeric_limits<double>::infinity();
   std::size_t evals = 0;
@@ -309,8 +230,9 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
     if (lower_bound >= best_phi) return false;
     ++evals;
     if (stats) ++stats->examined;
-    const double phi = evaluator.evaluate(assignment);
-    if (phi >= 0.0) {
+    footprint.build(sys, req.graph, assignment.data());
+    if (footprint.feasible(view, now)) {
+      const double phi = footprint.phi();
       if (stats) ++stats->qualified;
       if (phi < best_phi) {
         best_phi = phi;

@@ -32,8 +32,10 @@ void WhatIfView::take_link(net::OverlayLinkIndex l, double kbps) { link_taken_[l
 
 void WhatIfView::apply_composition(const stream::StreamSystem& sys,
                                    const stream::ComponentGraph& cg) {
-  for (const auto& [node, demand] : cg.demand_by_node(sys)) take_node(node, demand);
-  for (const auto& [link, kbps] : cg.bandwidth_by_link(sys)) take_link(link, kbps);
+  stream::Footprint fp;
+  cg.footprint(sys, fp);
+  for (const auto& n : fp.nodes()) take_node(n.node, n.demand);
+  for (const auto& l : fp.links()) take_link(l.link, l.kbps);
 }
 
 void WhatIfView::reset() {

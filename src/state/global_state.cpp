@@ -12,13 +12,13 @@ class GlobalStateManager::CoarseView final : public stream::StateView {
 
   stream::ResourceVector node_available(stream::NodeId node, double /*now*/) const override {
     ACP_REQUIRE(node < m_.nodes_.size());
-    m_.observe_read_staleness(m_.nodes_.updated_at(node), obs_, gauge_);
+    observe_read_staleness(m_.nodes_.updated_at(node));
     return m_.nodes_.available(node);
   }
 
   double link_available_kbps(net::OverlayLinkIndex l, double /*now*/) const override {
     ACP_REQUIRE(l < m_.links_.size());
-    m_.observe_read_staleness(m_.links_.published_at(), obs_, gauge_);
+    observe_read_staleness(m_.links_.published_at());
     return m_.links_.published(l);
   }
 
@@ -34,9 +34,26 @@ class GlobalStateManager::CoarseView final : public stream::StateView {
   }
 
  private:
+  /// Feeds one coarse read's staleness into the histogram (and the gauge,
+  /// when this view carries it). Both handles are resolved on the first
+  /// read, once per view, so a read pays no registry lookup.
+  void observe_read_staleness(double updated_at) const {
+    if (obs_ == nullptr) return;
+    if (staleness_ == nullptr) {
+      staleness_ =
+          &obs_->metrics.histogram(obs::metric::kStateReadStaleness, obs::duration_bounds_s());
+      if (gauge_) age_ = &obs_->metrics.gauge(obs::metric::kStateStalenessAge);
+    }
+    const double age = m_.engine_->now() - updated_at;
+    staleness_->observe(age);
+    if (age_ != nullptr) age_->set(age);
+  }
+
   const GlobalStateManager& m_;
   obs::Observability* obs_;
   bool gauge_;
+  mutable obs::Histogram* staleness_ = nullptr;
+  mutable obs::Gauge* age_ = nullptr;
 };
 
 GlobalStateManager::GlobalStateManager(const stream::StreamSystem& sys, sim::Engine& engine,
@@ -53,16 +70,6 @@ GlobalStateManager::GlobalStateManager(const stream::StreamSystem& sys, sim::Eng
   nodes_.resize(sys.node_count());
   links_.resize(sys.mesh().link_count());
   view_ = std::make_unique<CoarseView>(*this, obs_, /*gauge=*/true);
-}
-
-void GlobalStateManager::observe_read_staleness(double updated_at, obs::Observability* obs,
-                                                bool gauge) const {
-  if (obs == nullptr) return;
-  const double age = engine_->now() - updated_at;
-  obs->metrics
-      .histogram(obs::metric::kStateReadStaleness, obs::duration_bounds_s())
-      .observe(age);
-  if (gauge) obs->metrics.gauge(obs::metric::kStateStalenessAge).set(age);
 }
 
 std::unique_ptr<stream::StateView> GlobalStateManager::make_shard_view(

@@ -94,9 +94,6 @@ class GlobalStateManager {
 
   void schedule_check();
   void schedule_publish();
-  /// Feeds one coarse read's staleness into `obs`'s histogram (and gauge,
-  /// when the reading view carries it).
-  void observe_read_staleness(double updated_at, obs::Observability* obs, bool gauge) const;
 
   const stream::StreamSystem* sys_;
   sim::Engine* engine_;

@@ -46,15 +46,128 @@ bool ComponentGraph::functions_match(const StreamSystem& sys) const {
   return true;
 }
 
+// ---- Footprint --------------------------------------------------------------
+
+void Footprint::build(const StreamSystem& sys, const FunctionGraph& fg,
+                      const ComponentId* assignment) {
+  fg_ = &fg;
+  nodes_.clear();
+  fn_entry_.clear();
+  links_.clear();
+  edge_links_.clear();
+  edge_end_.clear();
+  link_entry_.clear();
+
+  // Node demand, summed per node in function-node order. A composition has
+  // a handful of function nodes, so a linear scan finds the entry.
+  for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+    const NodeId node = sys.component(assignment[i]).node;
+    std::uint32_t k = 0;
+    while (k < nodes_.size() && nodes_[k].node != node) ++k;
+    if (k == nodes_.size()) nodes_.push_back(NodeEntry{node, ResourceVector{}, ResourceVector{}});
+    nodes_[k].demand += fg.node(i).required;
+    fn_entry_.push_back(k);
+  }
+
+  // Link bandwidth, summed per overlay link in edge order; each edge keeps
+  // its walk so φ can take the bottleneck along it.
+  for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+    const FnEdge& edge = fg.edge(e);
+    const NodeId a = nodes_[fn_entry_[edge.from]].node;
+    const NodeId b = nodes_[fn_entry_[edge.to]].node;
+    if (a != b) {  // co-located: no bandwidth consumed
+      sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+        const std::uint32_t* found = link_entry_.find(l);
+        const auto k = found != nullptr ? *found : static_cast<std::uint32_t>(links_.size());
+        if (found == nullptr) {
+          links_.push_back(LinkEntry{l, 0.0, 0.0});
+          link_entry_.insert_or_assign(l, k);
+        }
+        links_[k].kbps += edge.required_bandwidth_kbps;
+        edge_links_.push_back(k);
+      });
+    }
+    edge_end_.push_back(static_cast<std::uint32_t>(edge_links_.size()));
+  }
+}
+
+bool Footprint::feasible(const StateView& view, double now) {
+  for (NodeEntry& n : nodes_) {
+    n.available = view.node_available(n.node, now);
+    if (!n.demand.fits_within(n.available)) return false;
+  }
+  for (LinkEntry& l : links_) {
+    l.available = view.link_available_kbps(l.link, now);
+    if (l.kbps > l.available) return false;
+  }
+  return true;
+}
+
+void Footprint::read_available(const StateView& view, double now) {
+  for (NodeEntry& n : nodes_) n.available = view.node_available(n.node, now);
+  for (LinkEntry& l : links_) l.available = view.link_available_kbps(l.link, now);
+}
+
+double Footprint::phi() const {
+  ACP_REQUIRE(fg_ != nullptr);
+  double phi = 0.0;
+
+  // Node terms: residual on each node accounts for the composition's entire
+  // demand there (footnote 5), then each component contributes
+  // Σ_k r_k / (rr_k + r_k).
+  for (FnNodeIndex i = 0; i < fn_entry_.size(); ++i) {
+    const NodeEntry& n = nodes_[fn_entry_[i]];
+    phi += congestion_terms(fg_->node(i).required, n.available - n.demand);
+  }
+
+  // Virtual-link terms: b / (rb + b) where rb is the bottleneck residual
+  // along the virtual link after all of this composition's link demands.
+  std::uint32_t begin = 0;
+  for (FnEdgeIndex e = 0; e < edge_end_.size(); ++e) {
+    const std::uint32_t end = edge_end_[e];
+    if (begin == end) continue;  // co-located: rb = ∞ ⇒ term = 0 (footnote 8)
+    double residual = std::numeric_limits<double>::infinity();
+    for (std::uint32_t k = begin; k < end; ++k) {
+      const LinkEntry& l = links_[edge_links_[k]];
+      residual = std::min(residual, l.available - l.kbps);
+    }
+    phi += congestion_term(fg_->edge(e).required_bandwidth_kbps, residual);
+    begin = end;
+  }
+  return phi;
+}
+
+// ---- CompositionScratch -----------------------------------------------------
+
+void CompositionScratch::begin(const FunctionGraph& fg) {
+  fg_ = &fg;
+  paths_ = fg.enumerate_paths();
+  link_qos_.clear();
+}
+
+QoSVector CompositionScratch::virtual_link_qos(const StreamSystem& sys, const StateView& view,
+                                               NodeId a, NodeId b, double now) {
+  const std::uint64_t key = (std::uint64_t{a} << 32) | b;
+  if (const QoSVector* q = link_qos_.find(key)) return *q;
+  const QoSVector q = view.virtual_link_qos(sys.mesh(), a, b, now);
+  link_qos_.insert_or_assign(key, q);
+  return q;
+}
+
+// ---- ComponentGraph evaluation ----------------------------------------------
+
 QoSVector ComponentGraph::path_qos(const StreamSystem& sys, const StateView& view,
-                                   const std::vector<FnNodeIndex>& path, double now) const {
+                                   const std::vector<FnNodeIndex>& path, double now,
+                                   CompositionScratch* memo) const {
   QoSVector q;
   for (std::size_t i = 0; i < path.size(); ++i) {
     const ComponentId c = component_at(path[i]);
     q += view.component_qos(c, now);
     if (i + 1 < path.size()) {
-      const ComponentId next = component_at(path[i + 1]);
-      q += view.virtual_link_qos(sys.mesh(), sys.component(c).node, sys.component(next).node, now);
+      const NodeId a = sys.component(c).node;
+      const NodeId b = sys.component(component_at(path[i + 1])).node;
+      q += memo != nullptr ? memo->virtual_link_qos(sys, view, a, b, now)
+                           : view.virtual_link_qos(sys.mesh(), a, b, now);
     }
   }
   return q;
@@ -68,71 +181,24 @@ bool ComponentGraph::satisfies_qos(const StreamSystem& sys, const StateView& vie
   return true;
 }
 
-std::map<NodeId, ResourceVector> ComponentGraph::demand_by_node(const StreamSystem& sys) const {
-  std::map<NodeId, ResourceVector> demand;
-  for (FnNodeIndex i = 0; i < assignment_.size(); ++i) {
-    const NodeId node = sys.component(component_at(i)).node;
-    demand[node] += fg_->node(i).required;
-  }
-  return demand;
-}
-
-std::map<net::OverlayLinkIndex, double> ComponentGraph::bandwidth_by_link(
-    const StreamSystem& sys) const {
-  std::map<net::OverlayLinkIndex, double> demand;
-  for (FnEdgeIndex e = 0; e < fg_->edge_count(); ++e) {
-    const FnEdge& edge = fg_->edge(static_cast<FnEdgeIndex>(e));
-    const NodeId a = sys.component(component_at(edge.from)).node;
-    const NodeId b = sys.component(component_at(edge.to)).node;
-    if (a == b) continue;  // co-located: no bandwidth consumed
-    sys.mesh().for_each_virtual_link(
-        a, b, [&](net::OverlayLinkIndex l) { demand[l] += edge.required_bandwidth_kbps; });
-  }
-  return demand;
+void ComponentGraph::footprint(const StreamSystem& sys, Footprint& out) const {
+  ACP_REQUIRE_MSG(fully_assigned(), "function node not assigned");
+  out.build(sys, *fg_, assignment_.data());
 }
 
 bool ComponentGraph::resources_feasible(const StreamSystem& sys, const StateView& view,
                                         double now) const {
-  for (const auto& [node, demand] : demand_by_node(sys)) {
-    if (!demand.fits_within(view.node_available(node, now))) return false;
-  }
-  for (const auto& [link, kbps] : bandwidth_by_link(sys)) {
-    if (kbps > view.link_available_kbps(link, now)) return false;
-  }
-  return true;
+  Footprint fp;
+  footprint(sys, fp);
+  return fp.feasible(view, now);
 }
 
 double ComponentGraph::congestion_aggregation(const StreamSystem& sys, const StateView& view,
                                               double now) const {
-  ACP_REQUIRE(fully_assigned());
-  double phi = 0.0;
-
-  // Node terms: residual on each node accounts for the composition's entire
-  // demand there (footnote 5), then each component contributes
-  // Σ_k r_k / (rr_k + r_k).
-  const auto node_demand = demand_by_node(sys);
-  for (FnNodeIndex i = 0; i < assignment_.size(); ++i) {
-    const NodeId node = sys.component(component_at(i)).node;
-    const ResourceVector avail = view.node_available(node, now);
-    const ResourceVector residual = avail - node_demand.at(node);
-    phi += congestion_terms(fg_->node(i).required, residual);
-  }
-
-  // Virtual-link terms: b / (rb + b) where rb is the bottleneck residual
-  // along the virtual link after all of this composition's link demands.
-  const auto link_demand = bandwidth_by_link(sys);
-  for (FnEdgeIndex e = 0; e < fg_->edge_count(); ++e) {
-    const FnEdge& edge = fg_->edge(e);
-    const NodeId a = sys.component(component_at(edge.from)).node;
-    const NodeId b = sys.component(component_at(edge.to)).node;
-    if (a == b) continue;  // rb = ∞ ⇒ term = 0 (footnote 8)
-    double residual = std::numeric_limits<double>::infinity();
-    sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-      residual = std::min(residual, view.link_available_kbps(l, now) - link_demand.at(l));
-    });
-    phi += congestion_term(edge.required_bandwidth_kbps, residual);
-  }
-  return phi;
+  Footprint fp;
+  footprint(sys, fp);
+  fp.read_available(view, now);
+  return fp.phi();
 }
 
 bool ComponentGraph::satisfies_policy(const StreamSystem& sys,
@@ -158,14 +224,33 @@ bool ComponentGraph::interfaces_compatible(const StreamSystem& sys) const {
 
 bool ComponentGraph::qualified(const StreamSystem& sys, const StateView& view,
                                const QoSVector& qos_req, double now) const {
-  return fully_assigned() && functions_match(sys) && interfaces_compatible(sys) &&
-         satisfies_qos(sys, view, qos_req, now) && resources_feasible(sys, view, now);
+  return qualified(sys, view, qos_req, PolicyConstraint{}, now);
 }
 
 bool ComponentGraph::qualified(const StreamSystem& sys, const StateView& view,
                                const QoSVector& qos_req, const PolicyConstraint& policy,
                                double now) const {
-  return satisfies_policy(sys, policy) && qualified(sys, view, qos_req, now);
+  CompositionScratch scratch;
+  scratch.begin(*fg_);
+  return qualify(sys, view, qos_req, policy, now, scratch).has_value();
+}
+
+std::optional<double> ComponentGraph::qualify(const StreamSystem& sys, const StateView& view,
+                                              const QoSVector& qos_req,
+                                              const PolicyConstraint& policy, double now,
+                                              CompositionScratch& scratch) const {
+  ACP_REQUIRE_MSG(scratch.fg_ == fg_, "scratch begun on another function graph");
+  if (!satisfies_policy(sys, policy) || !fully_assigned() || !functions_match(sys) ||
+      !interfaces_compatible(sys)) {
+    return std::nullopt;
+  }
+  for (const auto& path : scratch.paths_) {
+    if (!path_qos(sys, view, path, now, &scratch).satisfies(qos_req)) return std::nullopt;
+  }
+  Footprint& fp = scratch.footprint_;
+  fp.build(sys, *fg_, assignment_.data());
+  if (!fp.feasible(view, now)) return std::nullopt;
+  return fp.phi();
 }
 
 std::string ComponentGraph::to_string(const StreamSystem& sys) const {

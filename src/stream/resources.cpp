@@ -159,6 +159,19 @@ std::size_t ReservationPool<Q>::live_transient_count(double now) const {
   return n;
 }
 
+template <typename Q>
+std::size_t ReservationPool<Q>::transient_count(RequestId request) const {
+  return static_cast<std::size_t>(
+      std::count_if(transients_.begin(), transients_.end(),
+                    [&](const Transient& r) { return r.request == request; }));
+}
+
+template <typename Q>
+std::size_t ReservationPool<Q>::commit_count(SessionId session) const {
+  return static_cast<std::size_t>(std::count_if(
+      commits_.begin(), commits_.end(), [&](const Commit& c) { return c.session == session; }));
+}
+
 template class ReservationPool<ResourceVector>;
 template class ReservationPool<double>;
 

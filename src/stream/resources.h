@@ -211,6 +211,11 @@ class ReservationPool {
   std::size_t live_transient_count(double now) const;
   std::size_t committed_count() const { return commits_.size(); }
 
+  /// Transient records of `request`, live or expired.
+  std::size_t transient_count(RequestId request) const;
+  /// Commit records owned by `session`.
+  std::size_t commit_count(SessionId session) const;
+
  private:
   struct Transient {
     RequestId request;

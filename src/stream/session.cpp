@@ -30,9 +30,22 @@ SessionRecord make_record(const StreamSystem& sys, SessionId id, RequestId reque
   }
   return rec;
 }
+
+/// Releases every commit of `rec.id` on the pools the record names. The
+/// record's placements and links stay current through repair_component, so
+/// these are all the pools the session holds anything on.
+void release_held(StreamSystem& sys, const SessionRecord& rec) {
+  for (const PlacedComponent& p : rec.placements) sys.node_pool(p.node).release_session(rec.id);
+  for (const PlacedLink& l : rec.links) {
+    if (l.a == l.b) continue;  // co-located: no bandwidth held
+    sys.mesh().for_each_virtual_link(
+        l.a, l.b, [&](net::OverlayLinkIndex link) { sys.link_pool(link).release_session(rec.id); });
+  }
+}
 }  // namespace
 
-SessionId SessionTable::commit_probed(RequestId request, const ComponentGraph& cg, double now,
+SessionId SessionTable::commit_probed(RequestId request, const ComponentGraph& cg,
+                                      const HeldPools& held, double now,
                                       double planned_end_time) {
   ACP_REQUIRE(cg.fully_assigned());
   const FunctionGraph& fg = cg.function_graph();
@@ -54,13 +67,14 @@ SessionId SessionTable::commit_probed(RequestId request, const ComponentGraph& c
 
   // Either way, the request's remaining transients (losing candidates, or
   // everything on failure) are dropped.
-  sys_->cancel_request(request);
+  sys_->cancel_request(request, held);
 
+  SessionRecord rec = make_record(*sys_, id, request, cg, now, planned_end_time, true);
   if (!ok) {
-    sys_->release_session(id);  // roll back partial confirms
+    release_held(*sys_, rec);  // roll back partial confirms
     return kNullSession;
   }
-  records_.emplace(id, make_record(*sys_, id, request, cg, now, planned_end_time, true));
+  records_.emplace(id, std::move(rec));
   return id;
 }
 
@@ -68,37 +82,35 @@ SessionId SessionTable::commit_direct(RequestId request, const ComponentGraph& c
                                       double planned_end_time) {
   ACP_REQUIRE(cg.fully_assigned());
   const SessionId id = allocate_id();
+  SessionRecord rec = make_record(*sys_, id, request, cg, now, planned_end_time, false);
 
   bool ok = true;
   // Per-node aggregated commit keeps co-located components honest: both
   // demands must fit together.
-  for (const auto& [node, demand] : cg.demand_by_node(*sys_)) {
-    if (!sys_->commit_node_direct(id, node, demand, now)) {
+  Footprint fp;
+  cg.footprint(*sys_, fp);
+  for (const Footprint::NodeEntry& n : fp.nodes()) {
+    if (!sys_->commit_node_direct(id, n.node, n.demand, now)) {
       ok = false;
       break;
     }
   }
-  if (ok) {
-    const FunctionGraph& fg = cg.function_graph();
-    for (FnEdgeIndex e = 0; ok && e < fg.edge_count(); ++e) {
-      const FnEdge& edge = fg.edge(e);
-      const NodeId a = sys_->component(cg.component_at(edge.from)).node;
-      const NodeId b = sys_->component(cg.component_at(edge.to)).node;
-      ok = sys_->commit_virtual_link_direct(id, a, b, edge.required_bandwidth_kbps, now);
-    }
+  for (std::size_t i = 0; ok && i < rec.links.size(); ++i) {
+    const PlacedLink& l = rec.links[i];
+    ok = sys_->commit_virtual_link_direct(id, l.a, l.b, l.kbps, now);
   }
   if (!ok) {
-    sys_->release_session(id);
+    release_held(*sys_, rec);
     return kNullSession;
   }
-  records_.emplace(id, make_record(*sys_, id, request, cg, now, planned_end_time, false));
+  records_.emplace(id, std::move(rec));
   return id;
 }
 
 bool SessionTable::close(SessionId id) {
   const auto it = records_.find(id);
   if (it == records_.end()) return false;
-  sys_->release_session(id);
+  release_held(*sys_, it->second);
   records_.erase(it);
   return true;
 }

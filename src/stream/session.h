@@ -7,7 +7,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 
 #include "stream/component_graph.h"
 #include "stream/system.h"
@@ -65,11 +64,12 @@ class SessionTable {
 
   /// Commits `cg` by CONFIRMING the transient reservations previously placed
   /// by probes for `request` (tags per node_tag/link_tag). Any leftover
-  /// transients of the request are cancelled. Returns kNullSession if any
-  /// confirmation fails (e.g. the transient expired) — in that case every
-  /// partial commit is rolled back.
-  SessionId commit_probed(RequestId request, const ComponentGraph& cg, double now,
-                          double planned_end_time);
+  /// transients of the request are cancelled on `held`, the pools its
+  /// probes reserved on. Returns kNullSession if any confirmation fails
+  /// (e.g. the transient expired) — in that case every partial commit is
+  /// rolled back.
+  SessionId commit_probed(RequestId request, const ComponentGraph& cg, const HeldPools& held,
+                          double now, double planned_end_time);
 
   /// Commits `cg` by DIRECT allocation (no prior probing) — used by the
   /// Random/Static/Optimal baselines, which the paper grants free state
@@ -78,7 +78,8 @@ class SessionTable {
                           double planned_end_time);
 
   /// Releases the session's resources and forgets it. Safe on unknown ids
-  /// (returns false).
+  /// (returns false). Visits only the pools the session's record names —
+  /// its placements' nodes and its virtual links' overlay links.
   bool close(SessionId id);
 
   std::size_t active_count() const { return records_.size(); }

@@ -204,9 +204,9 @@ bool StreamSystem::confirm_virtual_link(RequestId request, std::uint32_t tag, No
   return ok;
 }
 
-void StreamSystem::cancel_request(RequestId request) {
-  for (auto& p : node_pools_) p.cancel_request(request);
-  for (auto& p : link_pools_) p.cancel_request(request);
+void StreamSystem::cancel_request(RequestId request, const HeldPools& held) {
+  for (const NodeId n : held.nodes) node_pool(n).cancel_request(request);
+  for (const net::OverlayLinkIndex l : held.links) link_pool(l).cancel_request(request);
 }
 
 bool StreamSystem::commit_node_direct(SessionId session, NodeId node, const ResourceVector& amount,
@@ -230,11 +230,6 @@ bool StreamSystem::commit_virtual_link_direct(SessionId session, NodeId a, NodeI
   if (ok) return true;
   for (const net::OverlayLinkIndex l : done) link_pools_[l].release_session_one(session, kbps);
   return false;
-}
-
-void StreamSystem::release_session(SessionId session) {
-  for (auto& p : node_pools_) p.release_session(session);
-  for (auto& p : link_pools_) p.release_session(session);
 }
 
 void StreamSystem::prune_expired(double now) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/overlay.h"
@@ -18,6 +19,14 @@
 #include "stream/state_view.h"
 
 namespace acp::stream {
+
+/// The pools one request's probes placed transient reservations on, as
+/// recorded at admission. Entries may repeat; a pool named twice is
+/// cancelled twice, harmlessly.
+struct HeldPools {
+  std::span<const NodeId> nodes;
+  std::span<const net::OverlayLinkIndex> links;
+};
 
 class StreamSystem {
  public:
@@ -107,16 +116,15 @@ class StreamSystem {
   bool confirm_virtual_link(RequestId request, std::uint32_t tag, NodeId a, NodeId b,
                             SessionId session, double now);
 
-  /// Drops every transient reservation belonging to `request`, system-wide.
-  void cancel_request(RequestId request);
+  /// Drops every transient reservation of `request` on the pools in `held`
+  /// — the pools its probes reserved on. Costs O(pools named), never a
+  /// sweep of the world.
+  void cancel_request(RequestId request, const HeldPools& held);
 
   /// Direct commits without probing (used by non-probing baselines).
   bool commit_node_direct(SessionId session, NodeId node, const ResourceVector& amount,
                           double now);
   bool commit_virtual_link_direct(SessionId session, NodeId a, NodeId b, double kbps, double now);
-
-  /// Releases everything owned by `session` on all nodes and links.
-  void release_session(SessionId session);
 
   /// Drops expired transient records everywhere (housekeeping).
   void prune_expired(double now);

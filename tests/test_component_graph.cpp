@@ -107,11 +107,15 @@ TEST_F(CgFixture, DemandAggregatesOnSharedNode) {
   g.assign(0, c0);
   g.assign(1, c1_on_node0);  // co-located with c0 on node 0
   g.assign(2, c2);
-  const auto demand = g.demand_by_node(*sys);
-  ASSERT_EQ(demand.size(), 2u);
-  EXPECT_DOUBLE_EQ(demand.at(0).cpu(), 20.0);
-  EXPECT_DOUBLE_EQ(demand.at(0).memory_mb(), 200.0);
-  EXPECT_DOUBLE_EQ(demand.at(2).cpu(), 10.0);
+  Footprint fp;
+  g.footprint(*sys, fp);
+  // One entry per distinct node, in order of first placement.
+  ASSERT_EQ(fp.nodes().size(), 2u);
+  EXPECT_EQ(fp.nodes()[0].node, 0u);
+  EXPECT_DOUBLE_EQ(fp.nodes()[0].demand.cpu(), 20.0);
+  EXPECT_DOUBLE_EQ(fp.nodes()[0].demand.memory_mb(), 200.0);
+  EXPECT_EQ(fp.nodes()[1].node, 2u);
+  EXPECT_DOUBLE_EQ(fp.nodes()[1].demand.cpu(), 10.0);
 }
 
 TEST_F(CgFixture, CoLocatedEdgeConsumesNoBandwidth) {
@@ -119,7 +123,13 @@ TEST_F(CgFixture, CoLocatedEdgeConsumesNoBandwidth) {
   g.assign(0, c0);
   g.assign(1, c1_on_node0);
   g.assign(2, c2);
-  const auto bw = g.bandwidth_by_link(*sys);
+  Footprint fp;
+  g.footprint(*sys, fp);
+  std::map<net::OverlayLinkIndex, double> bw;
+  for (const auto& entry : fp.links()) {
+    EXPECT_EQ(bw.count(entry.link), 0u) << "link " << entry.link << " entered twice";
+    bw[entry.link] = entry.kbps;
+  }
   // Only edge 1→2 (node 0 → node 2) uses the network.
   for (auto l : mesh->virtual_link_path(0, 2)) {
     EXPECT_DOUBLE_EQ(bw.at(l), 100.0);

@@ -35,6 +35,15 @@ struct SessionFixture : ::testing::Test {
     sessions = std::make_unique<SessionTable>(*sys);
   }
 
+  /// The pools a probe cascade for assigned() reserves on: its two nodes
+  /// and the virtual link between them, plus `extra_nodes`.
+  HeldPools held(std::vector<NodeId> extra_nodes = {}) {
+    held_nodes = {0, 1};
+    held_nodes.insert(held_nodes.end(), extra_nodes.begin(), extra_nodes.end());
+    held_links = mesh->virtual_link_path(0, 1);
+    return HeldPools{held_nodes, held_links};
+  }
+
   ComponentGraph assigned() {
     ComponentGraph g(fg);
     g.assign(0, c0);
@@ -48,6 +57,8 @@ struct SessionFixture : ::testing::Test {
   std::unique_ptr<SessionTable> sessions;
   FunctionGraph fg;
   ComponentId c0{}, c1{};
+  std::vector<NodeId> held_nodes;
+  std::vector<net::OverlayLinkIndex> held_links;
 };
 
 TEST_F(SessionFixture, CommitProbedConfirmsTransients) {
@@ -57,7 +68,7 @@ TEST_F(SessionFixture, CommitProbedConfirmsTransients) {
   ASSERT_TRUE(sys->reserve_virtual_link_transient(req, link_tag(fg, 0), 0, 1, 100.0, 0.0, 60.0));
 
   const auto g = assigned();
-  const SessionId sid = sessions->commit_probed(req, g, 1.0, 600.0);
+  const SessionId sid = sessions->commit_probed(req, g, held(), 1.0, 600.0);
   ASSERT_NE(sid, kNullSession);
   EXPECT_EQ(sessions->active_count(), 1u);
 
@@ -85,7 +96,7 @@ TEST_F(SessionFixture, CommitProbedFailsWhenTransientExpired) {
   ASSERT_TRUE(sys->reserve_virtual_link_transient(req, link_tag(fg, 0), 0, 1, 100.0, 0.0, 60.0));
 
   // Node 0's reservation expires before the commit at t=5.
-  const SessionId sid = sessions->commit_probed(req, assigned(), 5.0, 600.0);
+  const SessionId sid = sessions->commit_probed(req, assigned(), held(), 5.0, 600.0);
   EXPECT_EQ(sid, kNullSession);
   // Everything rolled back: full capacity, no transients anywhere.
   EXPECT_DOUBLE_EQ(sys->node_pool(0).available(1e9).cpu(), 100.0);
@@ -103,7 +114,7 @@ TEST_F(SessionFixture, CommitProbedDropsLosingReservations) {
   // A losing candidate's reservation on another node (same fn tag).
   ASSERT_TRUE(sys->reserve_node_transient(req, node_tag(1), 3, fg.node(1).required, 0.0, 60.0));
 
-  const SessionId sid = sessions->commit_probed(req, assigned(), 1.0, 600.0);
+  const SessionId sid = sessions->commit_probed(req, assigned(), held({3}), 1.0, 600.0);
   ASSERT_NE(sid, kNullSession);
   EXPECT_EQ(sys->node_pool(3).live_transient_count(1.0), 0u);
   EXPECT_DOUBLE_EQ(sys->node_pool(3).available(1.0).cpu(), 100.0);

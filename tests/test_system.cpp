@@ -57,7 +57,7 @@ TEST_F(SystemFixture, TrueStateReflectsPools) {
   EXPECT_DOUBLE_EQ(view.node_available(3, 0.0).cpu(), 100.0);
   ASSERT_TRUE(sys->commit_node_direct(9, 3, ResourceVector(40, 100), 0.0));
   EXPECT_DOUBLE_EQ(view.node_available(3, 0.0).cpu(), 60.0);
-  sys->release_session(9);
+  sys->node_pool(3).release_session(9);
   EXPECT_DOUBLE_EQ(view.node_available(3, 0.0).cpu(), 100.0);
 }
 
@@ -89,7 +89,7 @@ TEST_F(SystemFixture, VirtualLinkReservationSucceedsAndConfirms) {
     EXPECT_DOUBLE_EQ(sys->link_pool(l).available(99.0),
                      sys->link_pool(l).capacity() - 100.0);
   }
-  sys->release_session(3);
+  for (auto l : mesh->virtual_link_path(a, b)) sys->link_pool(l).release_session(3);
   for (auto l : mesh->virtual_link_path(a, b)) {
     EXPECT_DOUBLE_EQ(sys->link_pool(l).available(99.0), sys->link_pool(l).capacity());
   }
@@ -103,7 +103,9 @@ TEST_F(SystemFixture, CoLocatedVirtualLinkIsFree) {
 TEST_F(SystemFixture, CancelRequestClearsEverywhere) {
   ASSERT_TRUE(sys->reserve_node_transient(5, 0, 2, ResourceVector(10, 10), 0.0, 60.0));
   ASSERT_TRUE(sys->reserve_virtual_link_transient(5, 1, 0, 3, 50.0, 0.0, 60.0));
-  sys->cancel_request(5);
+  const std::vector<NodeId> nodes{2};
+  const std::vector<net::OverlayLinkIndex> links = mesh->virtual_link_path(0, 3);
+  sys->cancel_request(5, HeldPools{nodes, links});
   EXPECT_EQ(sys->node_pool(2).live_transient_count(0.0), 0u);
   for (auto l : mesh->virtual_link_path(0, 3)) {
     EXPECT_EQ(sys->link_pool(l).live_transient_count(0.0), 0u);
