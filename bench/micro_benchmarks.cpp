@@ -144,8 +144,8 @@ BENCHMARK(BM_GuidedSearch)->Arg(1)->Arg(3)->Arg(10);
 void BM_GlobalStateSweep(benchmark::State& state) {
   auto& w = World::instance();
   sim::Engine engine;
-  sim::CounterSet counters;
-  state::GlobalStateManager mgr(*w.dep.sys, engine, counters);
+  obs::MetricsRegistry metrics;
+  state::GlobalStateManager mgr(*w.dep.sys, engine, metrics);
   mgr.start();
   for (auto _ : state) {
     mgr.run_check_sweep();

@@ -37,10 +37,10 @@ int main(int argc, char** argv) {
 
   // 2. Wire up the runtime: event engine, state management, discovery.
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   stream::SessionTable sessions(sys);
-  discovery::Registry registry(sys, counters);
-  state::GlobalStateManager global_state(sys, engine, counters);
+  discovery::Registry registry(sys, metrics);
+  state::GlobalStateManager global_state(sys, engine, metrics);
   global_state.start();
 
   // 3. Draw a request from the paper's workload model.
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
               req.graph.to_string(sys.catalog()).c_str(), req.qos_req.to_string().c_str());
 
   // 4. Compose with ACP (adaptive composition probing).
-  core::ProbingProtocol protocol(sys, sessions, engine, counters, registry, global_state.view(),
+  core::ProbingProtocol protocol(sys, sessions, engine, metrics, registry, global_state.view(),
                                  rng.split(2));
   core::AcpComposer acp(protocol, alpha);
 
@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
     std::printf("Composed! session=%llu  phi=%.3f  (%zu candidate graphs, %zu qualified)\n",
                 static_cast<unsigned long long>(outcome.session), outcome.phi,
                 outcome.candidates_examined, outcome.candidates_qualified);
-    std::printf("Probe messages: %llu\n",
-                static_cast<unsigned long long>(counters.total(sim::counter::kProbe)));
+    const std::uint64_t probes = metrics.counter_family_total(obs::metric::kProbeMessages);
+    std::printf("Probe messages: %llu\n", static_cast<unsigned long long>(probes));
     const auto* rec = sessions.find(outcome.session);
     std::printf("Session components:");
     for (auto c : rec->components) {

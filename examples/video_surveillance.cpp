@@ -37,13 +37,13 @@ int main(int argc, char** argv) {
   const auto& catalog = sys.catalog();
 
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   stream::SessionTable sessions(sys);
-  discovery::Registry registry(sys, counters);
-  state::GlobalStateManager global_state(sys, engine, counters);
+  discovery::Registry registry(sys, metrics);
+  state::GlobalStateManager global_state(sys, engine, metrics);
   global_state.start();
   util::Rng rng(seed ^ 0xfeed);
-  core::ProbingProtocol protocol(sys, sessions, engine, counters, registry, global_state.view(),
+  core::ProbingProtocol protocol(sys, sessions, engine, metrics, registry, global_state.view(),
                                  rng.split(1));
   core::AcpComposer acp(protocol, alpha);
 
@@ -120,9 +120,9 @@ int main(int argc, char** argv) {
   }
 
   engine.run_until(60.0);
+  const std::uint64_t probes = metrics.counter_family_total(obs::metric::kProbeMessages);
   std::printf("Established %zu/%zu camera pipelines; probe messages: %llu\n", established,
-              cameras,
-              static_cast<unsigned long long>(counters.total(sim::counter::kProbe)));
+              cameras, static_cast<unsigned long long>(probes));
   for (auto sid : session_ids) sessions.close(sid);
   std::printf("All sessions closed.\n");
   return established > 0 ? 0 : 1;

@@ -66,7 +66,7 @@ CompositionOutcome finalize_direct(const BaselineContext& ctx, const workload::R
 
   const double end = req.arrival_time + req.duration_s;
   out.session = ctx.sessions->commit_direct(req.id, *graph, now, end);
-  ctx.counters->add(sim::counter::kConfirmation, req.graph.node_count());
+  ctx.metrics->counter(obs::metric::kProbeConfirmations).add(req.graph.node_count());
   observe_outcome(ctx, req, out);
   return out;
 }
@@ -78,7 +78,7 @@ void OptimalComposer::compose(const workload::Request& req,
   observe_accepted(ctx_, req);
   // Overhead accounting: what brute-force exhaustive *probing* would cost,
   // regardless of the pruning used to keep wall-clock time sane.
-  ctx_.counters->add(sim::counter::kProbe, exhaustive_probe_count(*ctx_.sys, req));
+  ctx_.metrics->counter(obs::metric::kProbeMessages).add(exhaustive_probe_count(*ctx_.sys, req));
 
   SearchStats stats;
   const auto best = exhaustive_best(*ctx_.sys, req, ctx_.sys->true_state(), ctx_.engine->now(),

@@ -17,7 +17,6 @@
 #include "core/composer.h"
 #include "core/search.h"
 #include "obs/observability.h"
-#include "sim/counters.h"
 #include "sim/engine.h"
 #include "stream/session.h"
 #include "util/rng.h"
@@ -28,7 +27,8 @@ struct BaselineContext {
   stream::StreamSystem* sys = nullptr;
   stream::SessionTable* sessions = nullptr;
   sim::Engine* engine = nullptr;
-  sim::CounterSet* counters = nullptr;
+  /// Message overhead (acp.probe.messages, acp.probe.confirmations).
+  obs::MetricsRegistry* metrics = nullptr;
   /// Optional observability sink (request-level spans/metrics only — the
   /// baselines have no probe lifecycle).
   obs::Observability* obs = nullptr;

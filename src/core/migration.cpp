@@ -5,9 +5,13 @@
 namespace acp::core {
 
 MigrationManager::MigrationManager(stream::StreamSystem& sys, sim::Engine& engine,
-                                   sim::CounterSet& counters, MigrationConfig config,
+                                   obs::MetricsRegistry& metrics, MigrationConfig config,
                                    obs::Observability* obs)
-    : sys_(&sys), engine_(&engine), counters_(&counters), config_(config), obs_(obs) {
+    : sys_(&sys),
+      engine_(&engine),
+      moves_counter_(&metrics, obs::metric::kMigrationMoves),
+      config_(config),
+      obs_(obs) {
   ACP_REQUIRE(config_.interval_s > 0.0);
   ACP_REQUIRE(config_.utilization_threshold > 0.0 && config_.utilization_threshold <= 1.0);
   ACP_REQUIRE(config_.target_headroom >= 0.0 &&
@@ -89,7 +93,7 @@ std::size_t MigrationManager::run_round() {
     }
 
     sys_->move_component(pick, target);
-    counters_->add(counter::kMigration);
+    moves_counter_.add();
     if (obs_ != nullptr) {
       obs_->tracer.event("component_migrated")
           .field("component", static_cast<std::uint64_t>(pick))
@@ -111,12 +115,13 @@ std::size_t MigrationManager::run_round() {
 
 SessionRepairManager::SessionRepairManager(stream::StreamSystem& sys,
                                            stream::SessionTable& sessions, sim::Engine& engine,
-                                           sim::CounterSet& counters, fault::FaultInjector& faults,
-                                           RepairConfig config, obs::Observability* obs)
+                                           obs::MetricsRegistry& metrics,
+                                           fault::FaultInjector& faults, RepairConfig config,
+                                           obs::Observability* obs)
     : sys_(&sys),
       sessions_(&sessions),
       engine_(&engine),
-      counters_(&counters),
+      repair_moves_(&metrics, obs::metric::kSessionRepairMoves),
       faults_(&faults),
       config_(config),
       obs_(obs) {
@@ -191,7 +196,7 @@ std::size_t SessionRepairManager::repair_node_failure(stream::NodeId node) {
         if (sessions_->repair_component(b.session, b.fn, cand, now)) {
           ++repaired;
           ++sessions_repaired_;
-          counters_->add(sim::counter::kSessionRepair);
+          repair_moves_.add();
           if (obs_ != nullptr) {
             obs_->metrics.counter(obs::metric::kSessionsRepaired).add();
             obs_->tracer.event("session_repaired")

@@ -13,7 +13,6 @@
 
 #include "fault/fault.h"
 #include "obs/observability.h"
-#include "sim/counters.h"
 #include "sim/engine.h"
 #include "stream/session.h"
 #include "stream/system.h"
@@ -30,17 +29,11 @@ struct MigrationConfig {
   std::size_t max_moves_per_round = 4;
 };
 
-namespace counter {
-inline constexpr const char* kMigration = "component_migrations";
-}
-
 class MigrationManager {
  public:
-  /// `obs`, when non-null, receives a `component_migrated` trace span per
-  /// move. The move *count* reaches the registry through the CounterSet
-  /// shim (component_migrations → acp.migration.moves), so the manager
-  /// never increments the metric directly.
-  MigrationManager(stream::StreamSystem& sys, sim::Engine& engine, sim::CounterSet& counters,
+  /// Each move counts into `metrics` (acp.migration.moves). `obs`, when
+  /// non-null, receives a `component_migrated` trace span per move.
+  MigrationManager(stream::StreamSystem& sys, sim::Engine& engine, obs::MetricsRegistry& metrics,
                    MigrationConfig config = {}, obs::Observability* obs = nullptr);
 
   MigrationManager(const MigrationManager&) = delete;
@@ -66,7 +59,7 @@ class MigrationManager {
 
   stream::StreamSystem* sys_;
   sim::Engine* engine_;
-  sim::CounterSet* counters_;
+  obs::LazyCounter moves_counter_;  ///< acp.migration.moves
   MigrationConfig config_;
   obs::Observability* obs_;
   std::uint64_t total_moves_ = 0;
@@ -98,7 +91,7 @@ class SessionRepairManager {
   /// Registers for crash notifications on start(). All references must
   /// outlive the manager; `obs` may be null.
   SessionRepairManager(stream::StreamSystem& sys, stream::SessionTable& sessions,
-                       sim::Engine& engine, sim::CounterSet& counters,
+                       sim::Engine& engine, obs::MetricsRegistry& metrics,
                        fault::FaultInjector& faults, RepairConfig config = {},
                        obs::Observability* obs = nullptr);
 
@@ -126,7 +119,7 @@ class SessionRepairManager {
   stream::StreamSystem* sys_;
   stream::SessionTable* sessions_;
   sim::Engine* engine_;
-  sim::CounterSet* counters_;
+  obs::LazyCounter repair_moves_;  ///< acp.recovery.session_repair_moves
   fault::FaultInjector* faults_;
   RepairConfig config_;
   obs::Observability* obs_;

@@ -82,14 +82,16 @@ struct ProbingProtocol::Coordinator {
 };
 
 ProbingProtocol::ProbingProtocol(stream::StreamSystem& sys, stream::SessionTable& sessions,
-                                 sim::Engine& engine, sim::CounterSet& counters,
+                                 sim::Engine& engine, obs::MetricsRegistry& metrics,
                                  discovery::Registry& registry,
                                  const stream::StateView& global_view, util::Rng rng,
                                  ProbingConfig config, obs::Observability* obs)
     : sys_(&sys),
       sessions_(&sessions),
       engine_(&engine),
-      counters_(&counters),
+      probe_messages_(&metrics, obs::metric::kProbeMessages),
+      retry_messages_(&metrics, obs::metric::kProbeRetryMessages),
+      confirmations_(&metrics, obs::metric::kProbeConfirmations),
       registry_(&registry),
       global_view_(&global_view),
       rng_(rng),
@@ -260,8 +262,8 @@ void ProbingProtocol::send_probe(const std::shared_ptr<Coordinator>& coord, Prob
       }
       const double backoff = config_.retry_backoff_s * static_cast<double>(1ULL << attempt);
       ++retries_sent_;
-      counters_->add(sim::counter::kProbeRetry);
-      counters_->add(sim::counter::kProbe);  // the retransmission is a message too
+      retry_messages_.add();
+      probe_messages_.add();  // the retransmission is a message too
       if (obs_ != nullptr) {
         obs_->metrics.counter(obs::metric::kProbeRetries).add();
         obs_->tracer.event("probe_retry")
@@ -376,9 +378,8 @@ void ProbingProtocol::execute(const workload::Request& req, double alpha, PerHop
 
 void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, Probe probe) {
   if (coord->finalized) return;  // late arrival after deadline: ignore
-  const obs::ProfScope prof(prof_process_);
-  const obs::AttrWallScope attr_wall(attr_, obs::attr_phase::kProbe,
-                                     static_cast<std::int64_t>(probe.at));
+  const obs::ProfScope prof(prof_process_, attr_, obs::attr_phase::kProbe,
+                            static_cast<std::int64_t>(probe.at));
   const workload::Request& req = *coord->req;
   const auto& path = coord->paths[probe.path_index];
   const double now = sim_now();
@@ -443,7 +444,7 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
 
   // --- Path complete: return to the deputy.
   if (level == path.size()) {
-    counters_->add(sim::counter::kProbe);  // return message
+    probe_messages_.add();  // return message
     send_probe(coord, probe, probe.at, /*returning=*/true, /*attempt=*/0);
     return;
   }
@@ -476,9 +477,8 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
   HopFilterStats filter_stats;
   std::size_t rank_cutoff = 0;
   {
-    const obs::ProfScope rank_prof(prof_rank_);
-    const obs::AttrWallScope rank_attr(attr_, obs::attr_phase::kRank,
-                                       static_cast<std::int64_t>(probe.at));
+    const obs::ProfScope rank_prof(prof_rank_, attr_, obs::attr_phase::kRank,
+                                   static_cast<std::int64_t>(probe.at));
     if (coord->hop_policy == PerHopPolicy::kGuided) {
       // Filter + rank on the coarse global state (possibly stale — that is
       // the point: precise state comes from the probes themselves).
@@ -531,7 +531,7 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
     ++live_probes_;
     ++coord->spawned_per_path[probe.path_index];
     ++spawned;
-    counters_->add(sim::counter::kProbe);  // probe transmission
+    probe_messages_.add();  // probe transmission
     if (obs_ != nullptr) {
       obs_->metrics.counter(obs::metric::kProbeSpawned).add();
       obs_->tracer.event("probe_spawned")
@@ -659,12 +659,9 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
   // Deputy-side finalize cost: merge, qualification, winner selection,
   // commit. Released before `done` so the requester's callback is not
   // charged to it.
-  std::optional<obs::ProfScope> prof;
-  if (prof_finalize_.wall != nullptr) prof.emplace(prof_finalize_);
-  std::optional<obs::AttrWallScope> attr_wall;
-  if (attr_ != nullptr && attr_->enabled()) {
-    attr_wall.emplace(attr_, obs::attr_phase::kFinalize, static_cast<std::int64_t>(coord->deputy));
-  }
+  std::optional<obs::ProfScope> prof(std::in_place, prof_finalize_, attr_,
+                                     obs::attr_phase::kFinalize,
+                                     static_cast<std::int64_t>(coord->deputy));
 
   // Merge per-path assignments into complete component graphs (DAG case:
   // combinations must agree on shared split/merge nodes).
@@ -694,7 +691,6 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
     // barrier, where pool state is live.
     finalize_sharded(coord, std::move(graphs), std::move(qualified), out.candidates_examined,
                      cap_hit);
-    attr_wall.reset();
     prof.reset();
     return;
   }
@@ -711,7 +707,6 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
   }
   if (winner) out.phi = winner->phi;
   conclude(*coord, winner ? &graphs[winner->index] : nullptr, out, cap_hit, now);
-  attr_wall.reset();
   prof.reset();
 
   coord->done(out);
@@ -745,7 +740,7 @@ void ProbingProtocol::conclude(const Coordinator& coord, const stream::Component
     const double end = req.arrival_time + req.duration_s;
     out.session = sessions_->commit_probed(req.id, *winner, held, now, end);
     // Confirmation messages travel the composition (one per component).
-    counters_->add(sim::counter::kConfirmation, req.graph.node_count());
+    confirmations_.add(req.graph.node_count());
   } else {
     sys_->cancel_request(req.id, held);
   }

@@ -33,7 +33,6 @@
 #include "discovery/registry.h"
 #include "fault/fault.h"
 #include "obs/observability.h"
-#include "sim/counters.h"
 #include "sim/engine.h"
 #include "sim/shard.h"
 #include "stream/session.h"
@@ -112,10 +111,11 @@ class ProbingProtocol : public ProbingExecutor {
  public:
   /// `global_view` is the coarse state consulted by kGuided selection; RP
   /// (kRandom) never reads it and may pass the same pointer. All references
-  /// must outlive the protocol. `obs`, when non-null, receives probe
-  /// lifecycle trace spans and acp.request.* / acp.probe.* metrics.
+  /// must outlive the protocol. Probe, retry and confirmation messages
+  /// count into `metrics`. `obs`, when non-null, receives probe lifecycle
+  /// trace spans and acp.request.* / acp.probe.* metrics.
   ProbingProtocol(stream::StreamSystem& sys, stream::SessionTable& sessions, sim::Engine& engine,
-                  sim::CounterSet& counters, discovery::Registry& registry,
+                  obs::MetricsRegistry& metrics, discovery::Registry& registry,
                   const stream::StateView& global_view, util::Rng rng, ProbingConfig config = {},
                   obs::Observability* obs = nullptr);
 
@@ -233,7 +233,9 @@ class ProbingProtocol : public ProbingExecutor {
   stream::StreamSystem* sys_;
   stream::SessionTable* sessions_;
   sim::Engine* engine_;
-  sim::CounterSet* counters_;
+  obs::LazyCounter probe_messages_;  ///< acp.probe.messages
+  obs::LazyCounter retry_messages_;  ///< acp.probe.retry_messages
+  obs::LazyCounter confirmations_;   ///< acp.probe.confirmations
   discovery::Registry* registry_;
   const stream::StateView* global_view_;
   util::Rng rng_;

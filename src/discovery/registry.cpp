@@ -2,9 +2,9 @@
 
 namespace acp::discovery {
 
-Registry::Registry(const stream::StreamSystem& sys, sim::CounterSet& counters,
+Registry::Registry(const stream::StreamSystem& sys, obs::MetricsRegistry& metrics,
                    DiscoveryConfig config, obs::Observability* obs)
-    : sys_(&sys), counters_(&counters), config_(config) {
+    : sys_(&sys), lookup_messages_(&metrics, obs::metric::kDiscoveryLookups), config_(config) {
   ACP_REQUIRE(config_.min_lookup_latency_ms >= 0.0);
   ACP_REQUIRE(config_.max_lookup_latency_ms >= config_.min_lookup_latency_ms);
   if (obs != nullptr) prof_lookup_ = obs->profiler.scope(obs::prof_scope::kDiscoveryLookup);
@@ -13,7 +13,7 @@ Registry::Registry(const stream::StreamSystem& sys, sim::CounterSet& counters,
 const std::vector<stream::ComponentId>& Registry::lookup(stream::FunctionId f) const {
   const obs::ProfScope prof(prof_lookup_);
   ++lookups_;
-  counters_->add(sim::counter::kDiscovery);
+  lookup_messages_.add();
   return sys_->components_providing(f);
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/observability.h"
-#include "sim/counters.h"
 #include "stream/system.h"
 #include "util/rng.h"
 
@@ -24,9 +23,10 @@ struct DiscoveryConfig {
 
 class Registry {
  public:
-  /// `obs`, when non-null, records each lookup's wall-clock under the
+  /// Each lookup counts into `metrics` (acp.discovery.lookups). `obs`, when
+  /// non-null, records each lookup's wall-clock under the
   /// "discovery.lookup" profiling scope.
-  Registry(const stream::StreamSystem& sys, sim::CounterSet& counters,
+  Registry(const stream::StreamSystem& sys, obs::MetricsRegistry& metrics,
            DiscoveryConfig config = {}, obs::Observability* obs = nullptr);
 
   /// All components currently providing `f`. Counts one discovery lookup.
@@ -39,7 +39,7 @@ class Registry {
 
  private:
   const stream::StreamSystem* sys_;
-  sim::CounterSet* counters_;
+  mutable obs::LazyCounter lookup_messages_;
   DiscoveryConfig config_;
   obs::ProfSlot prof_lookup_;
   mutable std::uint64_t lookups_ = 0;

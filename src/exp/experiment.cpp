@@ -44,6 +44,21 @@ bool is_probing(Algorithm a) {
 /// Does the algorithm maintain (and pay for) the coarse global state?
 bool uses_global_state(Algorithm a) { return a == Algorithm::kAcp || a == Algorithm::kSp; }
 
+/// The three counters behind the paper's overhead metric, read at one
+/// instant. The window is the delta of two reads: a shared registry
+/// accumulates across runs.
+struct OverheadCounts {
+  std::uint64_t probes = 0;
+  std::uint64_t global_updates = 0;
+  std::uint64_t aggregation_updates = 0;
+
+  void add(const obs::MetricsRegistry& r) {
+    probes += r.counter_family_total(obs::metric::kProbeMessages);
+    global_updates += r.counter_family_total(obs::metric::kStateGlobalUpdates);
+    aggregation_updates += r.counter_family_total(obs::metric::kStateAggregationUpdates);
+  }
+};
+
 /// Detaches the engine-backed trace clock and the logger's sim-time source
 /// when the run ends (the engine dies with run_experiment's frame, so
 /// leaving either attached would dangle).
@@ -88,14 +103,16 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   }
   sim::Engine& engine = sharded ? shard_eng->global() : *serial_eng;
 
-  sim::CounterSet counters;
-  stream::SessionTable sessions(sys);
-  discovery::Registry registry(sys, counters, {}, config.obs);
-
+  // Message counters land in the run's registry: the shared one when
+  // observability is on, else one private to this run.
   obs::Observability* obs = config.obs;
+  obs::MetricsRegistry run_metrics;
+  obs::MetricsRegistry& metrics = obs != nullptr ? obs->metrics : run_metrics;
+  stream::SessionTable sessions(sys);
+  discovery::Registry registry(sys, metrics, {}, obs);
+
   ObsScope obs_scope(obs);
   if (obs != nullptr) {
-    counters.attach_registry(&obs->metrics);
     engine.set_metrics(&obs->metrics);
     engine.set_attribution(&obs->attribution);
     obs->tracer.set_clock([&engine] { return engine.now(); });
@@ -110,8 +127,8 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   util::Rng fault_rng = run_rng.split(4);
 
   // --- State management ----------------------------------------------------
-  state::GlobalStateManager global_state(sys, engine, counters, config.global_state, obs);
-  state::LocalStateManager local_state(sys, engine, counters, config.local_state);
+  state::GlobalStateManager global_state(sys, engine, metrics, config.global_state, obs);
+  state::LocalStateManager local_state(sys, engine, metrics, config.local_state);
   if (uses_global_state(config.algorithm)) {
     global_state.start();
     local_state.start();
@@ -119,25 +136,27 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
     local_state.start();  // RP keeps local measurement but no global state
   }
 
-  core::MigrationManager migration(sys, engine, counters, config.migration, obs);
+  core::MigrationManager migration(sys, engine, metrics, config.migration, obs);
   if (config.enable_migration) migration.start();
 
   // --- Composer ------------------------------------------------------------
   // RP never consults the global view; hand it ground truth defensively.
   const stream::StateView& guidance =
       uses_global_state(config.algorithm) ? global_state.view() : sys.true_state();
-  core::ProbingProtocol protocol(sys, sessions, engine, counters, registry, guidance, probe_rng,
+  core::ProbingProtocol protocol(sys, sessions, engine, metrics, registry, guidance, probe_rng,
                                  config.probing, obs);
   core::ProbingRatioTuner tuner(sys, engine, config.tuner);
 
   // --- Sharded protocol instances ------------------------------------------
-  // One ProbingProtocol per shard, each with a private registry, counter
-  // set, and observability capture, so shard workers share no mutable
-  // state. Every instance is constructed from the same probe_rng value and
-  // derives per-request streams from the request id, so which instance runs
-  // a request never shows in any observable.
+  // One ProbingProtocol per shard, each with a private discovery registry,
+  // metrics registry (the lane capture's when observability is on), and
+  // observability capture, so shard workers share no mutable state. Every
+  // instance is constructed from the same probe_rng value and derives
+  // per-request streams from the request id, so which instance runs a
+  // request never shows in any observable.
   std::vector<std::unique_ptr<obs::ShardCapture>> captures;
-  std::vector<std::unique_ptr<sim::CounterSet>> shard_counters;
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> lane_owned_metrics;
+  std::vector<obs::MetricsRegistry*> lane_metrics;
   std::vector<std::unique_ptr<discovery::Registry>> shard_registries;
   std::vector<std::unique_ptr<stream::StateView>> shard_views;
   std::vector<std::unique_ptr<core::ProbingProtocol>> protocols;
@@ -156,11 +175,14 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
         cap_obs->tracer.set_run_base(obs->tracer.run_index());
         shard_eng->set_lane_obs(i, &cap_obs->metrics, &cap_obs->attribution);
       }
-      shard_counters.push_back(std::make_unique<sim::CounterSet>());
-      if (cap_obs != nullptr) shard_counters.back()->attach_registry(&cap_obs->metrics);
-      shard_registries.push_back(
-          std::make_unique<discovery::Registry>(sys, *shard_counters.back(),
-                                                discovery::DiscoveryConfig{}, cap_obs));
+      if (cap_obs != nullptr) {
+        lane_metrics.push_back(&cap_obs->metrics);
+      } else {
+        lane_owned_metrics.push_back(std::make_unique<obs::MetricsRegistry>());
+        lane_metrics.push_back(lane_owned_metrics.back().get());
+      }
+      shard_registries.push_back(std::make_unique<discovery::Registry>(
+          sys, *lane_metrics.back(), discovery::DiscoveryConfig{}, cap_obs));
       // Global-state guidance reads record staleness; give each instance a
       // private view so worker threads never share that histogram.
       const stream::StateView* inst_guidance = &guidance;
@@ -169,7 +191,7 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
         inst_guidance = shard_views.back().get();
       }
       protocols.push_back(std::make_unique<core::ProbingProtocol>(
-          sys, sessions, engine, *shard_counters.back(), *shard_registries.back(), *inst_guidance,
+          sys, sessions, engine, *lane_metrics.back(), *shard_registries.back(), *inst_guidance,
           probe_rng, config.probing, cap_obs));
       protocols.back()->set_shard_host(se);
       instance_ptrs.push_back(protocols.back().get());
@@ -194,7 +216,7 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   std::unique_ptr<core::SessionRepairManager> repair_mgr;
   if (!config.faults.empty()) {
     injector = std::make_unique<fault::FaultInjector>(sys, engine, fault_rng, config.faults,
-                                                      config.recovery, &counters, obs);
+                                                      config.recovery, &metrics, obs);
     if (sharded) {
       for (auto& p : protocols) p->set_fault_injector(injector.get());
     } else {
@@ -202,7 +224,7 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
     }
     global_state.set_fault_injector(injector.get());
     if (config.enable_repair) {
-      repair_mgr = std::make_unique<core::SessionRepairManager>(sys, sessions, engine, counters,
+      repair_mgr = std::make_unique<core::SessionRepairManager>(sys, sessions, engine, metrics,
                                                                 *injector, config.repair, obs);
       repair_mgr->start();
     }
@@ -228,15 +250,15 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
       break;
     case Algorithm::kOptimal:
       composer = std::make_unique<core::OptimalComposer>(
-          core::BaselineContext{&sys, &sessions, &engine, &counters, obs});
+          core::BaselineContext{&sys, &sessions, &engine, &metrics, obs});
       break;
     case Algorithm::kRandom:
       composer = std::make_unique<core::RandomComposer>(
-          core::BaselineContext{&sys, &sessions, &engine, &counters, obs}, baseline_rng);
+          core::BaselineContext{&sys, &sessions, &engine, &metrics, obs}, baseline_rng);
       break;
     case Algorithm::kStatic:
       composer = std::make_unique<core::StaticComposer>(
-          core::BaselineContext{&sys, &sessions, &engine, &counters, obs});
+          core::BaselineContext{&sys, &sessions, &engine, &metrics, obs});
       break;
   }
 
@@ -256,13 +278,18 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   // Requests must outlive their (possibly delayed) composition callback.
   std::deque<workload::Request> live_requests;
 
-  // Measurement window for message rates starts at warmup.
-  counters.begin_window(warmup_s);
-  for (auto& cs : shard_counters) cs->begin_window(warmup_s);
-  engine.schedule_at(warmup_s, [&] {
-    counters.begin_window(warmup_s);
-    for (auto& cs : shard_counters) cs->begin_window(warmup_s);
-  });
+  // Measurement window for message rates: a snapshot of the overhead
+  // counters at warmup, across the run's registry and every lane's. The
+  // warmup event is a global-lane event, which a sharded run executes in
+  // the barrier's apply phase while the lanes are parked.
+  const auto overhead_now = [&] {
+    OverheadCounts c;
+    c.add(metrics);
+    for (const obs::MetricsRegistry* m : lane_metrics) c.add(*m);
+    return c;
+  };
+  OverheadCounts window_start = overhead_now();
+  engine.schedule_at(warmup_s, [&] { window_start = overhead_now(); });
 
   // --- Arrival process -----------------------------------------------------
   std::function<void()> schedule_next_arrival = [&] {
@@ -361,6 +388,9 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   } else {
     engine.run_until(horizon_s + 120.0);
   }
+  // Read before the lane captures fold into the shared registry below, so
+  // no lane is counted twice.
+  const OverheadCounts window_end = overhead_now();
 
   // Fold the lane captures back into the shared sinks: trace rows from the
   // global lane and every shard merge-sort by (sim time, submission-order
@@ -381,17 +411,15 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
                             ? 1.0
                             : static_cast<double>(result.successes) /
                                   static_cast<double>(result.requests);
-  const double window_end = horizon_s;
-  const double window_span_min = (window_end - warmup_s) / 60.0;
+  const double window_span_min = (horizon_s - warmup_s) / 60.0;
   if (window_span_min > 0) {
-    const auto per_min = [&](const char* name) {
-      std::uint64_t n = counters.window_count(name);
-      for (const auto& cs : shard_counters) n += cs->window_count(name);
-      return static_cast<double>(n) / window_span_min;
+    const auto per_min = [window_span_min](std::uint64_t end, std::uint64_t start) {
+      return static_cast<double>(end - start) / window_span_min;
     };
-    result.probe_rate_per_minute = per_min(sim::counter::kProbe);
+    result.probe_rate_per_minute = per_min(window_end.probes, window_start.probes);
     result.state_update_rate_per_minute =
-        per_min(sim::counter::kGlobalStateUpdate) + per_min(sim::counter::kAggregationUpdate);
+        per_min(window_end.global_updates, window_start.global_updates) +
+        per_min(window_end.aggregation_updates, window_start.aggregation_updates);
     result.overhead_per_minute =
         result.probe_rate_per_minute + result.state_update_rate_per_minute;
   }

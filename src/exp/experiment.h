@@ -71,7 +71,7 @@ struct ExperimentConfig {
   /// counts only at an identical window.
   double shard_window_s = 4.0;
   /// Optional observability sink. When set, the run streams probe-lifecycle
-  /// trace spans, mirrors legacy counters into the metrics registry, stamps
+  /// trace spans, counts messages into its metrics registry, stamps
   /// log lines with sim time, and labels the trace with the algorithm name
   /// via Tracer::begin_run. Must outlive the call; the engine-backed trace
   /// clock and log time source are detached before returning.

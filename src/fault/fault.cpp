@@ -1,6 +1,7 @@
 #include "fault/fault.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -67,13 +68,24 @@ FaultPlan FaultPlan::parse_jsonl(std::istream& in) {
       set("stop", plan.stop_s);
       continue;
     }
+    // Integer fields must be whole numbers in [lo, 2^53], so the casts below
+    // are exact.
+    const auto whole = [&](const char* key, std::int64_t lo, std::int64_t fallback) {
+      if (!ev.has(key)) return fallback;
+      const double v = ev.num(key);
+      if (!(v >= static_cast<double>(lo) && v <= 9007199254740992.0) || v != std::floor(v)) {
+        throw PreconditionError("fault plan line " + std::to_string(lineno) + ": \"" + key +
+                                "\" must be a whole number >= " + std::to_string(lo));
+      }
+      return static_cast<std::int64_t>(v);
+    };
     FaultEvent fe;
     fe.kind = fault_kind_from_name(kind);
     fe.at_s = ev.num("at");
-    fe.target = ev.has("target") ? static_cast<std::int64_t>(ev.num("target")) : kRandomTarget;
+    fe.target = whole("target", -1, kRandomTarget);
     fe.magnitude = ev.num("magnitude");
     fe.duration_s = ev.num("duration");
-    fe.count = ev.has("count") ? static_cast<std::size_t>(ev.num("count")) : 1;
+    fe.count = static_cast<std::size_t>(whole("count", 0, 1));
     plan.events.push_back(fe);
   }
   return plan;
@@ -86,14 +98,15 @@ FaultPlan FaultPlan::load_jsonl_file(const std::string& path) {
 }
 
 FaultInjector::FaultInjector(stream::StreamSystem& sys, sim::Engine& engine, util::Rng rng,
-                             FaultPlan plan, RecoveryConfig recovery, sim::CounterSet* counters,
+                             FaultPlan plan, RecoveryConfig recovery, obs::MetricsRegistry* metrics,
                              obs::Observability* obs)
     : sys_(&sys),
       engine_(&engine),
       rng_(rng),
       plan_(std::move(plan)),
       recovery_(recovery),
-      counters_(counters),
+      fault_events_(metrics, obs::metric::kFaultEvents),
+      transient_reclaims_(metrics, obs::metric::kTransientReclaims),
       obs_(obs),
       node_down_(sys.node_count(), false),
       link_down_(sys.mesh().link_count(), false),
@@ -121,7 +134,7 @@ void FaultInjector::start() {
 
 void FaultInjector::count_fault(FaultKind kind) {
   ++faults_injected_;
-  if (counters_ != nullptr) counters_->add(sim::counter::kFaultEvent);
+  fault_events_.add();
   if (obs_ != nullptr) {
     obs_->metrics.counter(obs::metric::kFaultInjected, {{"kind", fault_kind_name(kind)}}).add();
   }
@@ -262,7 +275,7 @@ void FaultInjector::crash_node(stream::NodeId n, double downtime_s) {
     const std::size_t reclaimed = sys_->reclaim_node_transients(n, engine_->now());
     if (reclaimed == 0) return;
     transients_reclaimed_ += reclaimed;
-    if (counters_ != nullptr) counters_->add(sim::counter::kTransientReclaim, reclaimed);
+    transient_reclaims_.add(reclaimed);
     if (obs_ != nullptr) {
       obs_->metrics.counter(obs::metric::kTransientsReclaimed, {{"scope", "crash"}})
           .add(reclaimed);
@@ -405,7 +418,7 @@ std::size_t FaultInjector::run_reclamation_sweep() {
   sys_->prune_expired(now);
   if (reclaimed > 0) {
     transients_reclaimed_ += reclaimed;
-    if (counters_ != nullptr) counters_->add(sim::counter::kTransientReclaim, reclaimed);
+    transient_reclaims_.add(reclaimed);
     if (obs_ != nullptr) {
       obs_->metrics.counter(obs::metric::kTransientsReclaimed, {{"scope", "sweep"}})
           .add(reclaimed);

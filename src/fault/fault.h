@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "obs/observability.h"
-#include "sim/counters.h"
 #include "sim/engine.h"
 #include "stream/system.h"
 #include "util/rng.h"
@@ -119,10 +118,11 @@ struct RecoveryConfig {
 
 class FaultInjector {
  public:
-  /// `counters`/`obs` may be null. The system, engine, and counters must
-  /// outlive the injector.
+  /// `metrics` (acp.fault.events, acp.recovery.transient_reclaims) and
+  /// `obs` may be null. The system, engine, and registry must outlive the
+  /// injector.
   FaultInjector(stream::StreamSystem& sys, sim::Engine& engine, util::Rng rng, FaultPlan plan,
-                RecoveryConfig recovery = {}, sim::CounterSet* counters = nullptr,
+                RecoveryConfig recovery = {}, obs::MetricsRegistry* metrics = nullptr,
                 obs::Observability* obs = nullptr);
 
   FaultInjector(const FaultInjector&) = delete;
@@ -228,7 +228,8 @@ class FaultInjector {
                        ///< schedule — recovery arms see identical faults
   FaultPlan plan_;
   RecoveryConfig recovery_;
-  sim::CounterSet* counters_;
+  obs::LazyCounter fault_events_;
+  obs::LazyCounter transient_reclaims_;
   obs::Observability* obs_;
 
   std::vector<bool> node_down_;

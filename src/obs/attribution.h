@@ -41,7 +41,6 @@
 // of the CI jobs-invariance gate on attribution rows.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -121,7 +120,8 @@ class Attribution {
   void record_wait(const char* kind, double sim_s);
 
   /// One host wall-clock increment for (phase, node). Rows land in the
-  /// identity-exempt attr_host family.
+  /// identity-exempt attr_host family. Fed by obs::ProfScope (obs/profile.h)
+  /// at the profiler scope's call site.
   void record_wall(const char* phase, std::int64_t node, double wall_s);
 
   /// Additive merge (ObsContext submission-order drain). Sorted-map keys +
@@ -155,30 +155,6 @@ class Attribution {
   std::map<Key, Cell> rows_;
   std::map<std::string, Cell> waits_;
   std::map<HostKey, HostCell> host_;
-};
-
-/// RAII wall-clock capture into attr_host{phase, node}. Inert when `attr`
-/// is null or disabled — one branch, no clock reads.
-class AttrWallScope {
- public:
-  AttrWallScope(Attribution* attr, const char* phase, std::int64_t node)
-      : attr_(attr != nullptr && attr->enabled() ? attr : nullptr), phase_(phase), node_(node) {
-    if (attr_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~AttrWallScope() {
-    if (attr_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    attr_->record_wall(phase_, node_, std::chrono::duration<double>(elapsed).count());
-  }
-
-  AttrWallScope(const AttrWallScope&) = delete;
-  AttrWallScope& operator=(const AttrWallScope&) = delete;
-
- private:
-  Attribution* attr_;
-  const char* phase_;
-  std::int64_t node_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace acp::obs

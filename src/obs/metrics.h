@@ -205,6 +205,28 @@ class MetricsRegistry {
   std::map<std::string, std::string> meta_;
 };
 
+/// A counter handle resolved on its first add() — an add of 0 included — so
+/// the series appears in the registry exactly when something is first
+/// counted into it, and every later add is one pointer bump. The registry
+/// must outlive the handle; a null registry makes the handle inert.
+class LazyCounter {
+ public:
+  LazyCounter(MetricsRegistry* registry, const char* name) : registry_(registry), name_(name) {}
+
+  void add(std::uint64_t n = 1) {
+    if (counter_ == nullptr) {
+      if (registry_ == nullptr) return;
+      counter_ = &registry_->counter(name_);
+    }
+    counter_->add(n);
+  }
+
+ private:
+  MetricsRegistry* registry_;
+  const char* name_;
+  Counter* counter_ = nullptr;
+};
+
 /// Escapes `s` for inclusion in a JSON string literal (no quotes added).
 std::string json_escape(const std::string& s);
 

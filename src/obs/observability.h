@@ -3,8 +3,7 @@
 // hooks compile to cheap branches).
 //
 // Also the home of the well-known metric and reason names, so call sites,
-// the report, and tests agree on spelling (same role sim::counter plays for
-// the legacy CounterSet).
+// the report, and tests agree on spelling.
 #pragma once
 
 #include "obs/attribution.h"
@@ -40,10 +39,21 @@ inline constexpr const char* kRequestConfirmed = "acp.request.confirmed";
 inline constexpr const char* kRequestFailed = "acp.request.failed";
 inline constexpr const char* kRequestSetupTime = "acp.request.setup_time_s";
 
+// Message overhead — the paper's Fig. 6(b)/7(b) metric is probe messages
+// plus global-state updates per minute (exp::run_experiment windows these
+// three over the measured interval).
+inline constexpr const char* kProbeMessages = "acp.probe.messages";  ///< incl. returns, retries
+inline constexpr const char* kStateGlobalUpdates = "acp.state.global_updates";
+inline constexpr const char* kStateAggregationUpdates = "acp.state.aggregation_updates";
+inline constexpr const char* kProbeConfirmations = "acp.probe.confirmations";
+inline constexpr const char* kDiscoveryLookups = "acp.discovery.lookups";
+inline constexpr const char* kStateLocalRefresh = "acp.state.local_refresh";
+
 // Probe lifecycle.
 inline constexpr const char* kProbeSpawned = "acp.probe.spawned";
 inline constexpr const char* kProbeReturned = "acp.probe.returned";
 inline constexpr const char* kProbeRetries = "acp.probe.retries";  ///< lost-hop retransmissions
+inline constexpr const char* kProbeRetryMessages = "acp.probe.retry_messages";
 inline constexpr const char* kProbeDeaths = "acp.probe.deaths";  ///< label: reason
 inline constexpr const char* kProbeHopDepth = "acp.probe.hop_depth";
 inline constexpr const char* kCandidatesEvaluated = "acp.probe.candidates_evaluated";
@@ -62,11 +72,14 @@ inline constexpr const char* kSimQueueDepth = "acp.sim.queue_depth";
 inline constexpr const char* kMigrationMoves = "acp.migration.moves";
 
 // Fault injection (acp::fault) and the recovery mechanisms answering it.
+inline constexpr const char* kFaultEvents = "acp.fault.events";
 inline constexpr const char* kFaultInjected = "acp.fault.injected";  ///< label: kind
 inline constexpr const char* kFaultNodesDown = "acp.fault.nodes_down";  ///< gauge
 inline constexpr const char* kFaultLinksDown = "acp.fault.links_down";  ///< gauge
 inline constexpr const char* kTransientsReclaimed =
     "acp.recovery.transients_reclaimed";  ///< label: scope (crash|sweep)
+inline constexpr const char* kTransientReclaims = "acp.recovery.transient_reclaims";
+inline constexpr const char* kSessionRepairMoves = "acp.recovery.session_repair_moves";
 inline constexpr const char* kSessionsRepaired = "acp.recovery.sessions_repaired";
 inline constexpr const char* kSessionsLost = "acp.recovery.sessions_lost";
 inline constexpr const char* kDeputyReelections = "acp.recovery.deputy_reelections";

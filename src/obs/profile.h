@@ -17,6 +17,13 @@
 //   ...
 //   { ProfScope prof(slot_); hot_path(); }                          // per call
 //
+// A scope can also charge the same elapsed time to the per-node cost
+// attribution (obs/attribution.h): `ProfScope prof(slot_, attr, phase,
+// node)` additionally records attr_host{phase, node} when `attr` is enabled
+// (checked at construction). One clock pair feeds both sinks, so the
+// profiler scope and its attribution rows agree by construction — what
+// `acptrace reconcile` checks.
+//
 // Optional allocation deltas: when the build defines ACPSTREAM_PROF_ALLOC
 // (CMake option, off by default), profile.cpp replaces global operator
 // new/delete with counting versions and every scope additionally records
@@ -29,6 +36,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/attribution.h"
 #include "obs/metrics.h"
 
 namespace acp::obs {
@@ -51,7 +59,7 @@ bool alloc_counting_enabled();
 
 /// Cached metric handles for one named scope. Default-constructed (or
 /// resolved from a detached Profiler) it is inert: wall == nullptr and a
-/// ProfScope over it costs one branch.
+/// ProfScope over it reads no clock unless its attribution is enabled.
 struct ProfSlot {
   Histogram* wall = nullptr;    ///< acp.prof.wall_s{scope=...}
   Histogram* allocs = nullptr;  ///< acp.prof.allocs{scope=...}; null unless counting
@@ -77,22 +85,30 @@ class Profiler {
 
 /// RAII measurement of one scope invocation. Construction snapshots the
 /// steady clock (and the allocation counter when enabled); destruction
-/// observes the deltas into the slot's histograms.
+/// observes the deltas into the slot's histograms and, when `attr` was
+/// enabled at construction, charges the same elapsed time to
+/// attr_host{phase, node}. Inert (no clock reads) when neither sink is on.
 class ProfScope {
  public:
-  explicit ProfScope(const ProfSlot& slot) : slot_(slot) {
-    if (slot_.wall != nullptr) {
-      if (slot_.allocs != nullptr) allocs_start_ = allocations_now();
-      start_ = std::chrono::steady_clock::now();
-    }
+  explicit ProfScope(const ProfSlot& slot, Attribution* attr = nullptr,
+                     const char* phase = nullptr, std::int64_t node = -1)
+      : slot_(slot),
+        attr_(attr != nullptr && attr->enabled() ? attr : nullptr),
+        phase_(phase),
+        node_(node) {
+    if (slot_.wall == nullptr && attr_ == nullptr) return;
+    if (slot_.allocs != nullptr) allocs_start_ = allocations_now();
+    start_ = std::chrono::steady_clock::now();
   }
   ~ProfScope() {
-    if (slot_.wall == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    slot_.wall->observe(std::chrono::duration<double>(elapsed).count());
+    if (slot_.wall == nullptr && attr_ == nullptr) return;
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
     if (slot_.allocs != nullptr) {
       slot_.allocs->observe(static_cast<double>(allocations_now() - allocs_start_));
     }
+    if (slot_.wall != nullptr) slot_.wall->observe(elapsed);
+    if (attr_ != nullptr) attr_->record_wall(phase_, node_, elapsed);
   }
 
   ProfScope(const ProfScope&) = delete;
@@ -100,6 +116,9 @@ class ProfScope {
 
  private:
   ProfSlot slot_;
+  Attribution* attr_;
+  const char* phase_;
+  std::int64_t node_;
   std::chrono::steady_clock::time_point start_{};
   std::uint64_t allocs_start_ = 0;
 };

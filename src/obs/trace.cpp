@@ -1,9 +1,9 @@
 #include "obs/trace.h"
 
-#include <cctype>
 #include <cstdio>
 
 #include "obs/guard.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 
@@ -167,101 +167,17 @@ double ParsedTraceEvent::num(const std::string& key) const {
   return it == numbers.end() ? 0.0 : it->second;
 }
 
-namespace {
-
-struct Cursor {
-  const std::string& s;
-  std::size_t i = 0;
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw PreconditionError("bad trace line at offset " + std::to_string(i) + ": " + why);
-  }
-  void skip_ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  char peek() const { return i < s.size() ? s[i] : '\0'; }
-  void expect(char c) {
-    skip_ws();
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++i;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (i < s.size() && s[i] != '"') {
-      char c = s[i++];
-      if (c == '\\') {
-        if (i >= s.size()) fail("truncated escape");
-        const char e = s[i++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (i + 4 > s.size()) fail("truncated \\u escape");
-            const unsigned code = static_cast<unsigned>(std::stoul(s.substr(i, 4), nullptr, 16));
-            i += 4;
-            // The writer only emits \u00xx control escapes.
-            out += static_cast<char>(code & 0xff);
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (i >= s.size()) fail("unterminated string");
-    ++i;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    const std::size_t start = i;
-    while (i < s.size() && (std::isdigit(static_cast<unsigned char>(s[i])) || s[i] == '-' ||
-                            s[i] == '+' || s[i] == '.' || s[i] == 'e' || s[i] == 'E')) {
-      ++i;
-    }
-    if (i == start) fail("expected number");
-    return std::stod(s.substr(start, i - start));
-  }
-};
-
-}  // namespace
-
 ParsedTraceEvent parse_trace_line(const std::string& line) {
+  const JsonValue doc = parse_json(line);
+  if (doc.kind != JsonValue::Kind::kObject) throw PreconditionError("trace line: not an object");
   ParsedTraceEvent ev;
-  Cursor c{line};
-  c.expect('{');
-  c.skip_ws();
-  if (c.peek() == '}') return ev;
-  while (true) {
-    c.skip_ws();
-    const std::string key = c.parse_string();
-    c.expect(':');
-    c.skip_ws();
-    const char p = c.peek();
-    if (p == '"') {
-      ev.strings[key] = c.parse_string();
-    } else if (p == 't' || p == 'f') {
-      const bool is_true = line.compare(c.i, 4, "true") == 0;
-      if (!is_true && line.compare(c.i, 5, "false") != 0) c.fail("expected literal");
-      ev.numbers[key] = is_true ? 1.0 : 0.0;
-      c.i += is_true ? 4 : 5;
-    } else {
-      ev.numbers[key] = c.parse_number();
+  for (const auto& [key, v] : doc.object) {
+    switch (v.kind) {
+      case JsonValue::Kind::kString: ev.strings[key] = v.string; break;
+      case JsonValue::Kind::kNumber: ev.numbers[key] = v.number; break;
+      case JsonValue::Kind::kBool: ev.numbers[key] = v.boolean ? 1.0 : 0.0; break;
+      default: throw PreconditionError("trace line: field \"" + key + "\" is not flat");
     }
-    c.skip_ws();
-    if (c.peek() == ',') {
-      ++c.i;
-      continue;
-    }
-    c.expect('}');
-    break;
   }
   return ev;
 }

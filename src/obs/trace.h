@@ -183,8 +183,10 @@ struct ParsedTraceEvent {
   }
 };
 
-/// Parses one trace line (a flat JSON object). Throws PreconditionError on
-/// malformed input — used by tests (round-trip) and offline analysis.
+/// Parses one trace line (a flat JSON object) with obs::parse_json and
+/// flattens it: strings stay strings, numbers and bools (1/0) become
+/// numbers. Throws PreconditionError on malformed input and on nested or
+/// null values — used by tests (round-trip) and offline analysis.
 ParsedTraceEvent parse_trace_line(const std::string& line);
 
 }  // namespace acp::obs

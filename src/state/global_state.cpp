@@ -57,9 +57,14 @@ class GlobalStateManager::CoarseView final : public stream::StateView {
 };
 
 GlobalStateManager::GlobalStateManager(const stream::StreamSystem& sys, sim::Engine& engine,
-                                       sim::CounterSet& counters, GlobalStateConfig config,
+                                       obs::MetricsRegistry& metrics, GlobalStateConfig config,
                                        obs::Observability* obs)
-    : sys_(&sys), engine_(&engine), counters_(&counters), config_(config), obs_(obs) {
+    : sys_(&sys),
+      engine_(&engine),
+      global_updates_(&metrics, obs::metric::kStateGlobalUpdates),
+      aggregation_updates_(&metrics, obs::metric::kStateAggregationUpdates),
+      config_(config),
+      obs_(obs) {
   if (obs_ != nullptr) {
     prof_check_ = obs_->profiler.scope(obs::prof_scope::kStateCheckSweep);
     prof_publish_ = obs_->profiler.scope(obs::prof_scope::kStatePublish);
@@ -145,7 +150,7 @@ void GlobalStateManager::run_check_sweep() {
     }
     if (significant) {
       nodes_.store(n, live, now);
-      counters_->add(sim::counter::kGlobalStateUpdate);
+      global_updates_.add();
       if (obs_ != nullptr) {
         obs_->metrics.counter(obs::metric::kStateUpdates, {{"kind", "node"}}).add();
       }
@@ -159,7 +164,7 @@ void GlobalStateManager::run_check_sweep() {
     const double cap = sys_->link_pool(l).capacity();
     if (std::abs(live - links_.reported(l)) > config_.threshold_fraction * cap) {
       links_.report(l, live);
-      counters_->add(sim::counter::kAggregationUpdate);
+      aggregation_updates_.add();
       if (obs_ != nullptr) {
         obs_->metrics.counter(obs::metric::kStateUpdates, {{"kind", "link"}}).add();
       }
@@ -182,7 +187,7 @@ void GlobalStateManager::run_publish() {
   if (torn && obs_ != nullptr) {
     obs_->metrics.counter(obs::metric::kStateUpdates, {{"kind", "torn_publish"}}).add();
   }
-  counters_->add(sim::counter::kGlobalStateUpdate);
+  global_updates_.add();
   if (obs_ != nullptr) {
     obs_->metrics.counter(obs::metric::kStateUpdates, {{"kind", "publish"}}).add();
   }

@@ -17,7 +17,6 @@
 
 #include "fault/fault.h"
 #include "obs/observability.h"
-#include "sim/counters.h"
 #include "sim/engine.h"
 #include "state/state_arrays.h"
 #include "stream/state_view.h"
@@ -50,7 +49,7 @@ class GlobalStateManager {
   /// and acp.state.staleness_age_s gauge): sim-time age of the published
   /// copy at the moment composition logic consults it.
   GlobalStateManager(const stream::StreamSystem& sys, sim::Engine& engine,
-                     sim::CounterSet& counters, GlobalStateConfig config = {},
+                     obs::MetricsRegistry& metrics, GlobalStateConfig config = {},
                      obs::Observability* obs = nullptr);
   ~GlobalStateManager();
 
@@ -97,7 +96,8 @@ class GlobalStateManager {
 
   const stream::StreamSystem* sys_;
   sim::Engine* engine_;
-  sim::CounterSet* counters_;
+  obs::LazyCounter global_updates_;       ///< acp.state.global_updates
+  obs::LazyCounter aggregation_updates_;  ///< acp.state.aggregation_updates
   GlobalStateConfig config_;
   obs::Observability* obs_;
   fault::FaultInjector* faults_ = nullptr;

@@ -1,6 +1,6 @@
 #include "state/local_state.h"
 
-#include "obs/attribution.h"
+#include "obs/observability.h"
 
 namespace acp::state {
 
@@ -42,8 +42,11 @@ class LocalStateManager::LocalView final : public stream::StateView {
 };
 
 LocalStateManager::LocalStateManager(const stream::StreamSystem& sys, sim::Engine& engine,
-                                     sim::CounterSet& counters, LocalStateConfig config)
-    : sys_(&sys), engine_(&engine), counters_(&counters), config_(config) {
+                                     obs::MetricsRegistry& metrics, LocalStateConfig config)
+    : sys_(&sys),
+      engine_(&engine),
+      refresh_messages_(&metrics, obs::metric::kStateLocalRefresh),
+      config_(config) {
   ACP_REQUIRE(config_.refresh_interval_s > 0.0);
   cached_nodes_.resize(sys.node_count());
   cached_link_avail_.resize(sys.mesh().link_count());
@@ -81,7 +84,7 @@ void LocalStateManager::run_refresh() {
   if (config_.count_messages) {
     // One measurement message per overlay neighbor pair (each node pings its
     // neighbors once per refresh).
-    counters_->add(sim::counter::kLocalRefresh, sys_->mesh().link_count() * 2);
+    refresh_messages_.add(sys_->mesh().link_count() * 2);
   }
 }
 

@@ -1,13 +1,14 @@
 // Cost attribution (obs/attribution.h): deterministic aggregation, the
 // enabled gate, key-wise merge (the ObsContext drain), the acp-attr/1
-// artifact round-trip through the acptrace loader, and the engine's tagged
-// queue-wait decomposition.
+// artifact round-trip through the acptrace loader, the host rows a
+// ProfScope feeds, and the engine's tagged queue-wait decomposition.
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "acptrace/acptrace_lib.h"
 #include "obs/attribution.h"
+#include "obs/profile.h"
 #include "sim/engine.h"
 #include "util/error.h"
 
@@ -118,18 +119,42 @@ TEST(Attribution, SaveRejectsUnwritablePath) {
   EXPECT_THROW(a.save("/nonexistent-dir/attr.jsonl", "b", "sha", 1, false), PreconditionError);
 }
 
-TEST(AttrWallScope, InertWithoutEnabledAttribution) {
-  { const AttrWallScope null_scope(nullptr, attr_phase::kProbe, 1); }
+TEST(ProfScope, AttributionInertWithoutEnabledAttribution) {
+  const ProfSlot inert;
+  { const ProfScope null_scope(inert, nullptr, attr_phase::kProbe, 1); }
   Attribution disabled;
-  { const AttrWallScope off_scope(&disabled, attr_phase::kProbe, 1); }
+  { const ProfScope off_scope(inert, &disabled, attr_phase::kProbe, 1); }
   EXPECT_EQ(disabled.row_count(), 0u);
 
   Attribution on;
   on.set_enabled(true);
-  { const AttrWallScope scope(&on, attr_phase::kRank, 9); }
+  { const ProfScope scope(inert, &on, attr_phase::kRank, 9); }
   const Attribution::HostCell& cell = on.host_rows().at({attr_phase::kRank, 9});
   EXPECT_EQ(cell.count, 1u);
   EXPECT_GE(cell.wall_s, 0.0);
+}
+
+TEST(ProfScope, OneClockFeedsProfilerAndAttribution) {
+  // The profiler histogram and the attr_host row see the same elapsed times
+  // in the same order, so counts and totals agree exactly — what
+  // `acptrace reconcile` relies on.
+  MetricsRegistry reg;
+  const ProfSlot slot = Profiler(&reg).scope("test.scope");
+  Attribution attr;
+  attr.set_enabled(true);
+  for (int i = 0; i < 3; ++i) {
+    const ProfScope scope(slot, &attr, attr_phase::kFinalize, 4);
+  }
+  const Attribution::HostCell& cell = attr.host_rows().at({attr_phase::kFinalize, 4});
+  EXPECT_EQ(cell.count, 3u);
+  EXPECT_EQ(slot.wall->count(), 3u);
+  EXPECT_EQ(cell.wall_s, slot.wall->sum());
+
+  // Attribution off: the profiler side still records.
+  Attribution off;
+  { const ProfScope scope(slot, &off, attr_phase::kFinalize, 4); }
+  EXPECT_EQ(off.row_count(), 0u);
+  EXPECT_EQ(slot.wall->count(), 4u);
 }
 
 // ---- Engine queue-wait decomposition -------------------------------------------

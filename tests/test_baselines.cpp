@@ -38,7 +38,7 @@ struct BaselineFixture : ::testing::Test {
       }
     }
     sessions = std::make_unique<stream::SessionTable>(*sys);
-    ctx = BaselineContext{sys.get(), sessions.get(), &engine, &counters};
+    ctx = BaselineContext{sys.get(), sessions.get(), &engine, &metrics};
   }
 
   workload::Request make_request() {
@@ -70,7 +70,7 @@ struct BaselineFixture : ::testing::Test {
   std::unique_ptr<stream::StreamSystem> sys;
   std::unique_ptr<stream::SessionTable> sessions;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   BaselineContext ctx;
   stream::RequestId next_id = 1;
   std::vector<stream::FunctionId> chain;
@@ -108,7 +108,7 @@ TEST_F(BaselineFixture, OptimalCountsExhaustiveProbes) {
   const auto req = make_request();
   compose_with(optimal, req);
   // 3 functions with 4 candidates each on one path: 4 + 16 + 64 = 84.
-  EXPECT_EQ(counters.total(sim::counter::kProbe), 84u);
+  EXPECT_EQ(metrics.counter_family_total(obs::metric::kProbeMessages), 84u);
 }
 
 TEST_F(BaselineFixture, OptimalFailsOnImpossibleRequest) {

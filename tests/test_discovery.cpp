@@ -29,31 +29,31 @@ struct DiscoveryFixture : ::testing::Test {
   net::Graph ip;
   std::unique_ptr<net::OverlayMesh> mesh;
   std::unique_ptr<stream::StreamSystem> sys;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   stream::ComponentId c0{}, c1{};
 };
 
 TEST_F(DiscoveryFixture, LookupReturnsAllProviders) {
-  Registry reg(*sys, counters);
+  Registry reg(*sys, metrics);
   const auto& found = reg.lookup(2);
   EXPECT_EQ(found, (std::vector<stream::ComponentId>{c0, c1}));
   EXPECT_TRUE(reg.lookup(0).empty());
 }
 
 TEST_F(DiscoveryFixture, LookupsAreCounted) {
-  Registry reg(*sys, counters);
+  Registry reg(*sys, metrics);
   reg.lookup(2);
   reg.lookup(1);
   reg.lookup(2);
   EXPECT_EQ(reg.lookups_performed(), 3u);
-  EXPECT_EQ(counters.total(sim::counter::kDiscovery), 3u);
+  EXPECT_EQ(metrics.counter_family_total(obs::metric::kDiscoveryLookups), 3u);
 }
 
 TEST_F(DiscoveryFixture, LatencyDrawnFromConfiguredRange) {
   DiscoveryConfig cfg;
   cfg.min_lookup_latency_ms = 5.0;
   cfg.max_lookup_latency_ms = 10.0;
-  Registry reg(*sys, counters, cfg);
+  Registry reg(*sys, metrics, cfg);
   util::Rng rng(7);
   for (int i = 0; i < 100; ++i) {
     const double lat = reg.draw_lookup_latency_ms(rng);
@@ -63,7 +63,7 @@ TEST_F(DiscoveryFixture, LatencyDrawnFromConfiguredRange) {
 }
 
 TEST_F(DiscoveryFixture, ZeroLatencyByDefault) {
-  Registry reg(*sys, counters);
+  Registry reg(*sys, metrics);
   util::Rng rng(7);
   EXPECT_DOUBLE_EQ(reg.draw_lookup_latency_ms(rng), 0.0);
 }
@@ -72,7 +72,7 @@ TEST_F(DiscoveryFixture, RejectsInvalidLatencyRange) {
   DiscoveryConfig cfg;
   cfg.min_lookup_latency_ms = 10.0;
   cfg.max_lookup_latency_ms = 5.0;
-  EXPECT_THROW(Registry(*sys, counters, cfg), acp::PreconditionError);
+  EXPECT_THROW(Registry(*sys, metrics, cfg), acp::PreconditionError);
 }
 
 }  // namespace

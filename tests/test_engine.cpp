@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "sim/calendar_queue.h"
-#include "sim/counters.h"
 #include "sim/sharded_engine.h"
 
 namespace acp::sim {
@@ -127,81 +124,6 @@ TEST(Engine, PendingExcludesCancelled) {
   EXPECT_EQ(e.pending(), 2u);
   e.cancel(a);
   EXPECT_EQ(e.pending(), 1u);
-}
-
-TEST(Counters, TotalsAndGrandTotal) {
-  CounterSet c;
-  c.add("a");
-  c.add("a", 4);
-  c.add("b", 2);
-  EXPECT_EQ(c.total("a"), 5u);
-  EXPECT_EQ(c.total("b"), 2u);
-  EXPECT_EQ(c.total("missing"), 0u);
-  EXPECT_EQ(c.grand_total(), 7u);
-}
-
-TEST(Counters, WindowRates) {
-  CounterSet c;
-  c.add("probe", 100);
-  c.begin_window(60.0);  // t = 1 min
-  c.add("probe", 30);
-  c.add("update", 6);
-  EXPECT_EQ(c.window_count("probe"), 30u);
-  EXPECT_EQ(c.window_count("update"), 6u);
-  EXPECT_EQ(c.window_grand_count(), 36u);
-  // 3 minutes later: 30 probes / 3 min = 10/min.
-  EXPECT_DOUBLE_EQ(c.window_rate_per_minute("probe", 240.0), 10.0);
-  EXPECT_DOUBLE_EQ(c.window_grand_rate_per_minute(240.0), 12.0);
-}
-
-TEST(Counters, ZeroWidthWindowRateIsZero) {
-  CounterSet c;
-  c.begin_window(10.0);
-  c.add("x");
-  EXPECT_DOUBLE_EQ(c.window_rate_per_minute("x", 10.0), 0.0);
-}
-
-TEST(Counters, RateBeforeWindowStartIsZero) {
-  // Regression: evaluating at a t earlier than the window start must yield
-  // 0, never a negative rate.
-  CounterSet c;
-  c.begin_window(120.0);
-  c.add("x", 10);
-  EXPECT_DOUBLE_EQ(c.window_rate_per_minute("x", 60.0), 0.0);
-  EXPECT_DOUBLE_EQ(c.window_grand_rate_per_minute(60.0), 0.0);
-  // And a NaN timestamp is treated like an invalid window, not propagated.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_DOUBLE_EQ(c.window_rate_per_minute("x", nan), 0.0);
-}
-
-TEST(Counters, AttachRegistryMirrorsAndBackfills) {
-  CounterSet c;
-  c.add(counter::kProbe, 5);
-  c.add("bespoke_counter", 2);
-
-  obs::MetricsRegistry reg;
-  c.attach_registry(&reg);
-  // Pre-attach totals are back-filled under canonical names.
-  ASSERT_NE(reg.find_counter("acp.probe.messages"), nullptr);
-  EXPECT_EQ(reg.find_counter("acp.probe.messages")->value(), 5u);
-  ASSERT_NE(reg.find_counter("acp.sim.counter.bespoke_counter"), nullptr);
-  EXPECT_EQ(reg.find_counter("acp.sim.counter.bespoke_counter")->value(), 2u);
-
-  // Subsequent adds mirror 1:1 without double-counting the backfill.
-  c.add(counter::kProbe, 3);
-  EXPECT_EQ(c.total(counter::kProbe), 8u);
-  EXPECT_EQ(reg.find_counter("acp.probe.messages")->value(), 8u);
-
-  c.attach_registry(nullptr);
-  c.add(counter::kProbe);
-  EXPECT_EQ(reg.find_counter("acp.probe.messages")->value(), 8u);
-}
-
-TEST(Counters, CanonicalMetricNames) {
-  EXPECT_EQ(canonical_metric_name(counter::kProbe), "acp.probe.messages");
-  EXPECT_EQ(canonical_metric_name(counter::kGlobalStateUpdate), "acp.state.global_updates");
-  EXPECT_EQ(canonical_metric_name("component_migrations"), "acp.migration.moves");
-  EXPECT_EQ(canonical_metric_name("whatever"), "acp.sim.counter.whatever");
 }
 
 TEST(Engine, NextEventAtPeeksWithoutMutating) {
@@ -346,15 +268,6 @@ TEST(ShardedEngine, EmptyLanesAndSparseTimeStillTerminate) {
   EXPECT_EQ(se.total_events_fired(), 6u);
   EXPECT_EQ(se.total_pending(), 0u);
   EXPECT_DOUBLE_EQ(se.global().now(), 6000.0);
-}
-
-TEST(Counters, ResetClearsEverything) {
-  CounterSet c;
-  c.add("x", 5);
-  c.begin_window(0.0);
-  c.reset();
-  EXPECT_EQ(c.grand_total(), 0u);
-  EXPECT_EQ(c.window_count("x"), 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <deque>
 
 #include "core/probing_composers.h"
+#include "test_helpers.h"
 
 namespace acp::exp {
 namespace {
@@ -50,6 +51,12 @@ TEST(Experiment, RunsEveryAlgorithmEndToEnd) {
     EXPECT_EQ(res.algorithm, algo);
     EXPECT_GE(res.success_series.size(), 2u);
   }
+}
+
+TEST(Experiment, OverheadWindowIsADeltaOfTheSharedRegistry) {
+  const auto sys_cfg = small_system();
+  const auto fabric = build_fabric(sys_cfg);
+  acp::testing::expect_overhead_window_is_a_delta(fabric, sys_cfg, short_run(Algorithm::kAcp));
 }
 
 TEST(Experiment, DeterministicForSameSeeds) {
@@ -169,12 +176,12 @@ TEST(Experiment, ResourceConservationAfterAllSessionsEnd) {
   auto& sys = *dep.sys;
 
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   stream::SessionTable sessions(sys);
-  discovery::Registry registry(sys, counters);
-  state::GlobalStateManager global_state(sys, engine, counters);
+  discovery::Registry registry(sys, metrics);
+  state::GlobalStateManager global_state(sys, engine, metrics);
   global_state.start();
-  core::ProbingProtocol protocol(sys, sessions, engine, counters, registry, global_state.view(),
+  core::ProbingProtocol protocol(sys, sessions, engine, metrics, registry, global_state.view(),
                                  util::Rng(3));
   core::AcpComposer acp(protocol, 0.5);
 

@@ -91,14 +91,14 @@ struct FaultFixture : ::testing::Test {
       }
     }
     sessions = std::make_unique<stream::SessionTable>(*sys);
-    registry = std::make_unique<discovery::Registry>(*sys, counters);
-    global_state = std::make_unique<state::GlobalStateManager>(*sys, engine, counters);
+    registry = std::make_unique<discovery::Registry>(*sys, metrics);
+    global_state = std::make_unique<state::GlobalStateManager>(*sys, engine, metrics);
     global_state->start();
   }
 
   std::unique_ptr<FaultInjector> make_injector(FaultPlan plan, RecoveryConfig rec = {}) {
     return std::make_unique<FaultInjector>(*sys, engine, util::Rng(99), std::move(plan), rec,
-                                           &counters);
+                                           &metrics);
   }
 
   workload::Request make_request() {
@@ -121,7 +121,7 @@ struct FaultFixture : ::testing::Test {
   std::unique_ptr<discovery::Registry> registry;
   std::unique_ptr<state::GlobalStateManager> global_state;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   stream::RequestId next_id = 1;
   std::vector<stream::FunctionId> chain;
 };
@@ -275,7 +275,7 @@ TEST_F(FaultFixture, RetriesRescueProbesOnceLossWindowCloses) {
   core::ProbingConfig cfg;
   cfg.max_retries = 5;
   cfg.retry_backoff_s = 0.05;
-  core::ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry,
+  core::ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry,
                                  global_state->view(), util::Rng(7), cfg);
   protocol.set_fault_injector(inj.get());
   const auto req = make_request();
@@ -295,7 +295,7 @@ TEST_F(FaultFixture, ExhaustedRetriesFailHonestlyWithoutLeaks) {
   core::ProbingConfig cfg;
   cfg.max_retries = 2;
   cfg.retry_backoff_s = 0.01;
-  core::ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry,
+  core::ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry,
                                  global_state->view(), util::Rng(7), cfg);
   protocol.set_fault_injector(inj.get());
   const auto req = make_request();
@@ -325,7 +325,7 @@ TEST_F(FaultFixture, DeputyCrashMidCompositionTriggersReelection) {
   core::ProbingConfig cfg;
   cfg.max_retries = 5;
   cfg.retry_backoff_s = 0.05;
-  core::ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry,
+  core::ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry,
                                  global_state->view(), util::Rng(7), cfg);
   protocol.set_fault_injector(inj.get());
   const auto req = make_request();
@@ -352,12 +352,12 @@ TEST_F(FaultFixture, DeputyCrashMidCompositionTriggersReelection) {
 TEST_F(FaultFixture, CrashedComponentHostRepairedViaMigrationPath) {
   auto inj = make_injector({});
   core::ProbingConfig cfg;
-  core::ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry,
+  core::ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry,
                                  global_state->view(), util::Rng(7), cfg);
   protocol.set_fault_injector(inj.get());
   core::RepairConfig rcfg;
   rcfg.detection_delay_s = 1.0;
-  core::SessionRepairManager repair(*sys, *sessions, engine, counters, *inj, rcfg);
+  core::SessionRepairManager repair(*sys, *sessions, engine, metrics, *inj, rcfg);
   repair.start();
 
   const auto req = make_request();
@@ -385,13 +385,13 @@ TEST_F(FaultFixture, CrashedComponentHostRepairedViaMigrationPath) {
 TEST_F(FaultFixture, DetectionOnlyRepairClosesBrokenSessions) {
   auto inj = make_injector({});
   core::ProbingConfig cfg;
-  core::ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry,
+  core::ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry,
                                  global_state->view(), util::Rng(7), cfg);
   protocol.set_fault_injector(inj.get());
   core::RepairConfig rcfg;
   rcfg.detection_delay_s = 1.0;
   rcfg.max_candidates = 0;  // chaos-suite bare arm: detect, never repair
-  core::SessionRepairManager repair(*sys, *sessions, engine, counters, *inj, rcfg);
+  core::SessionRepairManager repair(*sys, *sessions, engine, metrics, *inj, rcfg);
   repair.start();
 
   const auto req = make_request();

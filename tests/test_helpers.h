@@ -5,6 +5,10 @@
 #include <functional>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "exp/experiment.h"
+#include "obs/observability.h"
 #include "stream/function.h"
 
 namespace acp::testing {
@@ -28,6 +32,35 @@ inline std::vector<stream::FunctionId> compatible_chain(const stream::FunctionCa
   };
   if (!extend()) throw PreconditionError("catalog admits no compatible chain of that length");
   return chain;
+}
+
+/// The overhead rates are a window over the run's message counters. Two
+/// identical runs sharing one Observability — whose registry accumulates
+/// across runs — must report bit-identical rates, equal to a run with
+/// observability off (counting into a registry private to the run).
+inline void expect_overhead_window_is_a_delta(const exp::Fabric& fabric,
+                                              const exp::SystemConfig& sys_cfg,
+                                              exp::ExperimentConfig cfg) {
+  cfg.warmup_minutes = 1.0;
+  cfg.obs = nullptr;
+  const auto off = exp::run_experiment(fabric, sys_cfg, cfg);
+  obs::Observability shared;
+  cfg.obs = &shared;
+  const auto first = exp::run_experiment(fabric, sys_cfg, cfg);
+  const std::uint64_t probes_per_run =
+      shared.metrics.counter_family_total(obs::metric::kProbeMessages);
+  const auto second = exp::run_experiment(fabric, sys_cfg, cfg);
+  for (const exp::ExperimentResult* r : {&first, &second}) {
+    EXPECT_EQ(r->probe_rate_per_minute, off.probe_rate_per_minute);
+    EXPECT_EQ(r->state_update_rate_per_minute, off.state_update_rate_per_minute);
+    EXPECT_EQ(r->overhead_per_minute, off.overhead_per_minute);
+  }
+  EXPECT_EQ(shared.metrics.counter_family_total(obs::metric::kProbeMessages), 2 * probes_per_run);
+  EXPECT_GT(off.probe_rate_per_minute, 0.0);
+  EXPECT_GT(off.state_update_rate_per_minute, 0.0);
+  // The window opens at warmup: it holds fewer probes than the whole run.
+  const double window_min = cfg.duration_minutes - cfg.warmup_minutes;
+  EXPECT_LT(off.probe_rate_per_minute * window_min, static_cast<double>(probes_per_run));
 }
 
 }  // namespace acp::testing

@@ -1,0 +1,147 @@
+// Deterministic seeded-mutation fuzzing of every artifact reader: fault
+// plans, trace lines, BENCH documents, timelines and attribution files.
+//
+// Each seed input — the tools/acptrace/testdata fixtures plus inline fault
+// plan and timeline samples — is mutated by flipping, inserting and
+// truncating bytes, then fed to the reader that owns its format. A reader
+// may accept a mutant or reject it with PreconditionError; anything else
+// (a crash, a sanitizer report, any other exception) fails the test. The
+// seed and iteration count are fixed, so every run replays the same
+// mutants; the ASan/UBSan CI job runs this binary like any other ctest.
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "acptrace/acptrace_lib.h"
+#include "fault/fault.h"
+#include "obs/json.h"
+#include "obs/trace.h"
+#include "util/error.h"
+#include "util/rng.h"
+
+namespace acp {
+namespace {
+
+constexpr std::uint64_t kSeed = 0x5eed'f022;
+constexpr int kMutantsPerSeed = 2000;
+
+std::string read_fixture(const std::string& name) {
+  std::ifstream in(std::string(ACP_TESTDATA_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << "missing fixture " << name;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// One to four edits: flip a bit, insert a byte (biased towards JSON
+/// punctuation and digits, which reach deeper into the grammar), or
+/// truncate.
+std::string mutate(std::string s, util::Rng& rng) {
+  static const std::string kInteresting = "{}[]\":,.-+eE0123456789\\u \n";
+  const std::uint64_t edits = 1 + rng.below(4);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    const std::uint64_t op = rng.below(3);
+    if (op == 0 && !s.empty()) {
+      s[rng.below(s.size())] ^= static_cast<char>(1u << rng.below(8));
+    } else if (op == 1) {
+      const char c = rng.below(2) == 0 ? kInteresting[rng.below(kInteresting.size())]
+                                       : static_cast<char>(rng.below(256));
+      s.insert(s.begin() + static_cast<std::ptrdiff_t>(rng.below(s.size() + 1)), c);
+    } else if (!s.empty()) {
+      s.resize(rng.below(s.size()));
+    }
+  }
+  return s;
+}
+
+/// Feeds the seed and its mutants to `reader`; returns how many mutants
+/// were rejected (for a sanity check that mutation bites).
+std::size_t fuzz(const std::string& seed_input,
+                 const std::function<void(const std::string&)>& reader, util::Rng& rng) {
+  std::size_t rejected = 0;
+  for (int i = 0; i <= kMutantsPerSeed; ++i) {
+    const std::string input = i == 0 ? seed_input : mutate(seed_input, rng);
+    try {
+      reader(input);
+    } catch (const PreconditionError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-precondition exception " << e.what() << " on input:\n" << input;
+    }
+  }
+  return rejected;
+}
+
+void read_fault_plan(const std::string& text) {
+  std::istringstream in(text);
+  fault::FaultPlan::parse_jsonl(in);
+}
+
+void read_trace(const std::string& text) {
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty()) obs::parse_trace_line(line);
+  }
+}
+
+void read_bench(const std::string& text) { tracecli::decode_bench(obs::parse_json(text)); }
+
+void read_timeline(const std::string& text) {
+  std::istringstream in(text);
+  tracecli::load_timeline(in);
+}
+
+void read_attribution(const std::string& text) {
+  std::istringstream in(text);
+  tracecli::load_attribution(in);
+}
+
+const char* const kFaultPlan =
+    "{\"kind\": \"rates\", \"node_crash_rate_per_min\": 2.5, \"probe_loss_prob\": 0.1, "
+    "\"stop\": 300}\n"
+    "{\"kind\": \"node_crash\", \"at\": 60, \"target\": 7, \"duration\": 30}\n"
+    "{\"kind\": \"link_degrade\", \"at\": 90, \"magnitude\": 0.25}\n"
+    "{\"kind\": \"transient_leak\", \"at\": 120, \"count\": 5, \"magnitude\": 2}\n";
+
+const char* const kTimeline =
+    "{\"schema\": \"acp-timeline/1\", \"type\": \"header\", \"bench\": \"fig5\", "
+    "\"git_sha\": \"abc\", \"seed\": 42, \"quick\": true}\n"
+    "{\"type\": \"run_start\", \"run\": 1, \"label\": \"ACP\"}\n"
+    "{\"type\": \"sample\", \"run\": 1, \"t\": 30, \"events\": 3000, \"events_per_s\": 100, "
+    "\"queue_depth\": 5, \"live_probes\": 1, \"active_sessions\": 2, \"requests\": 3, "
+    "\"successes\": 2, \"success_rate\": 0.666666666667, \"mean_phi\": 0.5, \"allocs\": 0}\n"
+    "{\"type\": \"host_sample\", \"run\": 1, \"t\": 30, \"wall_s\": 0.1, "
+    "\"peak_rss_bytes\": 1000000}\n";
+
+TEST(JsonFuzz, ReadersAcceptOrRejectCleanly) {
+  util::Rng rng(kSeed);
+  struct Case {
+    std::string input;
+    void (*reader)(const std::string&);
+  };
+  const std::vector<Case> cases = {
+      {kFaultPlan, read_fault_plan},
+      {kTimeline, read_timeline},
+      {kTimeline, read_trace},
+      {read_fixture("golden_trace.jsonl"), read_trace},
+      {read_fixture("failed_trace.jsonl"), read_trace},
+      {read_fixture("orphan_trace.jsonl"), read_trace},
+      {read_fixture("double_return_trace.jsonl"), read_trace},
+      {read_fixture("bench_base.json"), read_bench},
+      {read_fixture("bench_current_ok.json"), read_bench},
+      {read_fixture("bench_slow.json"), read_bench},
+      {read_fixture("attr_golden.jsonl"), read_attribution},
+  };
+  std::size_t rejected = 0;
+  for (const Case& c : cases) rejected += fuzz(c.input, c.reader, rng);
+  // Mutation must actually reach the error paths.
+  EXPECT_GT(rejected, cases.size() * kMutantsPerSeed / 4);
+}
+
+}  // namespace
+}  // namespace acp

@@ -41,7 +41,7 @@ struct MigrationFixture : ::testing::Test {
   std::unique_ptr<net::OverlayMesh> mesh;
   std::unique_ptr<stream::StreamSystem> sys;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   stream::ComponentId hot_many{}, hot_sole{};
 };
 
@@ -60,7 +60,7 @@ TEST_F(MigrationFixture, MoveComponentUpdatesIndexes) {
 }
 
 TEST_F(MigrationFixture, UtilizationReflectsWorstDimension) {
-  MigrationManager mgr(*sys, engine, counters);
+  MigrationManager mgr(*sys, engine, metrics);
   EXPECT_DOUBLE_EQ(mgr.utilization(0, 0.0), 0.0);
   ASSERT_TRUE(sys->commit_node_direct(1, 0, ResourceVector(80.0, 100.0), 0.0));
   EXPECT_NEAR(mgr.utilization(0, 0.0), 0.8, 1e-12);  // cpu is the worst dim
@@ -71,11 +71,11 @@ TEST_F(MigrationFixture, RoundMovesComponentsOffCongestedNodes) {
   MigrationConfig cfg;
   cfg.utilization_threshold = 0.75;
   cfg.target_headroom = 0.4;
-  MigrationManager mgr(*sys, engine, counters, cfg);
+  MigrationManager mgr(*sys, engine, metrics, cfg);
   const auto moves = mgr.run_round();
   EXPECT_GE(moves, 1u);
   EXPECT_EQ(mgr.total_moves(), moves);
-  EXPECT_EQ(counters.total(counter::kMigration), moves);
+  EXPECT_EQ(metrics.counter_family_total(obs::metric::kMigrationMoves), moves);
   // The component with the most alternative providers (fn 0) moved first;
   // the sole fn-1 provider stayed.
   EXPECT_NE(sys->component(hot_many).node, 0u);
@@ -84,7 +84,7 @@ TEST_F(MigrationFixture, RoundMovesComponentsOffCongestedNodes) {
 
 TEST_F(MigrationFixture, NoMovesBelowThreshold) {
   ASSERT_TRUE(sys->commit_node_direct(1, 0, ResourceVector(50.0, 500.0), 0.0));
-  MigrationManager mgr(*sys, engine, counters);
+  MigrationManager mgr(*sys, engine, metrics);
   EXPECT_EQ(mgr.run_round(), 0u);
 }
 
@@ -93,7 +93,7 @@ TEST_F(MigrationFixture, NoMovesWhenEverythingIsHot) {
   for (stream::NodeId n = 0; n < sys->node_count(); ++n) {
     ASSERT_TRUE(sys->commit_node_direct(100 + n, n, ResourceVector(80.0, 800.0), 0.0));
   }
-  MigrationManager mgr(*sys, engine, counters);
+  MigrationManager mgr(*sys, engine, metrics);
   EXPECT_EQ(mgr.run_round(), 0u);
 }
 
@@ -106,7 +106,7 @@ TEST_F(MigrationFixture, RespectsMaxMovesPerRound) {
   }
   MigrationConfig cfg;
   cfg.max_moves_per_round = 1;
-  MigrationManager mgr(*sys, engine, counters, cfg);
+  MigrationManager mgr(*sys, engine, metrics, cfg);
   EXPECT_LE(mgr.run_round(), 1u);
 }
 
@@ -114,7 +114,7 @@ TEST_F(MigrationFixture, PeriodicTickRunsThroughEngine) {
   ASSERT_TRUE(sys->commit_node_direct(1, 0, ResourceVector(95.0, 950.0), 0.0));
   MigrationConfig cfg;
   cfg.interval_s = 30.0;
-  MigrationManager mgr(*sys, engine, counters, cfg);
+  MigrationManager mgr(*sys, engine, metrics, cfg);
   mgr.start();
   engine.run_until(31.0);
   EXPECT_GE(mgr.total_moves(), 1u);
@@ -126,8 +126,8 @@ TEST_F(MigrationFixture, MigrationDuringProbingDropsProbesGracefully) {
   // the protocol — the probe arrives at the old host, finds the component
   // gone, and dies.
   stream::SessionTable sessions(*sys);
-  discovery::Registry registry(*sys, counters);
-  core::ProbingProtocol protocol(*sys, sessions, engine, counters, registry, sys->true_state(),
+  discovery::Registry registry(*sys, metrics);
+  core::ProbingProtocol protocol(*sys, sessions, engine, metrics, registry, sys->true_state(),
                                  util::Rng(7));
   // A request for fn 0 (several providers) — probes depart immediately.
   workload::Request req;
@@ -154,7 +154,7 @@ TEST_F(MigrationFixture, MigrationDuringProbingDropsProbesGracefully) {
 TEST_F(MigrationFixture, RejectsBadConfig) {
   MigrationConfig bad;
   bad.target_headroom = 0.9;  // >= threshold
-  EXPECT_THROW(MigrationManager(*sys, engine, counters, bad), acp::PreconditionError);
+  EXPECT_THROW(MigrationManager(*sys, engine, metrics, bad), acp::PreconditionError);
 }
 
 }  // namespace

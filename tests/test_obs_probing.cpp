@@ -46,13 +46,13 @@ struct ObsProbingFixture : ::testing::Test {
       }
     }
     sessions = std::make_unique<stream::SessionTable>(*sys);
-    registry = std::make_unique<discovery::Registry>(*sys, counters);
-    global_state = std::make_unique<state::GlobalStateManager>(*sys, engine, counters,
+    registry = std::make_unique<discovery::Registry>(*sys, metrics);
+    global_state = std::make_unique<state::GlobalStateManager>(*sys, engine, metrics,
                                                                state::GlobalStateConfig{}, &obs);
     global_state->start();
     obs.tracer.set_stream(&trace_sink);
     obs.tracer.set_clock([this] { return engine.now(); });
-    protocol = std::make_unique<ProbingProtocol>(*sys, *sessions, engine, counters, *registry,
+    protocol = std::make_unique<ProbingProtocol>(*sys, *sessions, engine, metrics, *registry,
                                                  global_state->view(), util::Rng(7),
                                                  ProbingConfig{}, &obs);
   }
@@ -106,7 +106,7 @@ struct ObsProbingFixture : ::testing::Test {
   std::unique_ptr<state::GlobalStateManager> global_state;
   std::unique_ptr<ProbingProtocol> protocol;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   obs::Observability obs;
   std::ostringstream trace_sink;
   stream::RequestId next_request_id = 1;

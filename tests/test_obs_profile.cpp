@@ -58,14 +58,27 @@ TEST(Profiler, DetachedProfilerYieldsInertSlots) {
 }
 
 TEST(Profiler, AllocationCountingDisabledByDefault) {
-  // The default build has ACPSTREAM_PROF_ALLOC off: no alloc histogram is
-  // created and the process-wide counter stays at zero.
-  EXPECT_FALSE(alloc_counting_enabled());
-  EXPECT_EQ(allocations_now(), 0u);
   MetricsRegistry reg;
   Profiler prof(&reg);
-  EXPECT_EQ(prof.scope("s").allocs, nullptr);
-  EXPECT_EQ(reg.find_histogram(metric::kProfAllocs, {{"scope", "s"}}), nullptr);
+  const ProfSlot slot = prof.scope("s");
+  if (!alloc_counting_enabled()) {
+    // The default build has ACPSTREAM_PROF_ALLOC off: no alloc histogram is
+    // created and the per-thread counter stays at zero.
+    EXPECT_EQ(allocations_now(), 0u);
+    EXPECT_EQ(slot.allocs, nullptr);
+    EXPECT_EQ(reg.find_histogram(metric::kProfAllocs, {{"scope", "s"}}), nullptr);
+    return;
+  }
+  // The counting flavor: a scope around one `new` records at least 1.
+  ASSERT_NE(slot.allocs, nullptr);
+  {
+    const ProfScope scope(slot);
+    static int* volatile sink = nullptr;  // escapes, so the allocation stays
+    sink = new int(7);
+    delete sink;
+  }
+  EXPECT_EQ(slot.allocs->count(), 1u);
+  EXPECT_GE(slot.allocs->max(), 1.0);
 }
 
 TEST(Guard, HooksRunOnceAndCancelWorks) {

@@ -31,6 +31,7 @@
 #include "obs/bench_report.h"
 #include "obs/observability.h"
 #include "sim/sharded_engine.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace acp::exp {
@@ -264,6 +265,15 @@ TEST(ShardedDeterminism, ArrivalCountMatchesSerialEngine) {
   const auto sharded = run_experiment(fabric, sys_cfg, tiny_run(Algorithm::kAcp, 2));
   EXPECT_EQ(serial.requests, sharded.requests);
   EXPECT_GT(sharded.successes, 0u);
+}
+
+TEST(ShardedDeterminism, OverheadWindowIsADeltaAcrossLaneRegistries) {
+  // The window reads the run's registry plus every lane's: the lane
+  // captures with observability on (folded into the shared registry at end
+  // of run), registries private to the run with it off.
+  const auto sys_cfg = tiny_system();
+  const auto fabric = build_fabric(sys_cfg);
+  acp::testing::expect_overhead_window_is_a_delta(fabric, sys_cfg, tiny_run(Algorithm::kAcp, 2));
 }
 
 TEST(ShardedDeterminism, NonProbingAlgorithmsIgnoreShards) {

@@ -41,10 +41,10 @@ struct ProbingFixture : ::testing::Test {
       }
     }
     sessions = std::make_unique<stream::SessionTable>(*sys);
-    registry = std::make_unique<discovery::Registry>(*sys, counters);
-    global_state = std::make_unique<state::GlobalStateManager>(*sys, engine, counters);
+    registry = std::make_unique<discovery::Registry>(*sys, metrics);
+    global_state = std::make_unique<state::GlobalStateManager>(*sys, engine, metrics);
     global_state->start();
-    protocol = std::make_unique<ProbingProtocol>(*sys, *sessions, engine, counters, *registry,
+    protocol = std::make_unique<ProbingProtocol>(*sys, *sessions, engine, metrics, *registry,
                                                  global_state->view(), util::Rng(7));
   }
 
@@ -72,6 +72,10 @@ struct ProbingFixture : ::testing::Test {
     return out.value_or(CompositionOutcome{});
   }
 
+  std::uint64_t probe_messages() const {
+    return metrics.counter_family_total(obs::metric::kProbeMessages);
+  }
+
   net::Graph ip;
   std::unique_ptr<net::OverlayMesh> mesh;
   std::unique_ptr<stream::StreamSystem> sys;
@@ -80,7 +84,7 @@ struct ProbingFixture : ::testing::Test {
   std::unique_ptr<state::GlobalStateManager> global_state;
   std::unique_ptr<ProbingProtocol> protocol;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   stream::RequestId next_request_id = 1;
   std::vector<stream::FunctionId> chain;
 };
@@ -143,14 +147,14 @@ TEST_F(ProbingFixture, CallbackFiresExactlyOnce) {
 
 TEST_F(ProbingFixture, ProbeMessagesScaleWithAlpha) {
   const auto r1 = make_request();
-  counters.begin_window(engine.now());
+  const auto start = probe_messages();
   run(r1, 0.25);
-  const auto low = counters.window_count(sim::counter::kProbe);
+  const auto low = probe_messages() - start;
 
   const auto r2 = make_request();
-  counters.begin_window(engine.now());
+  const auto mid = probe_messages();
   run(r2, 1.0);
-  const auto high = counters.window_count(sim::counter::kProbe);
+  const auto high = probe_messages() - mid;
   EXPECT_GT(high, low);
 }
 
@@ -234,20 +238,20 @@ TEST_F(ProbingFixture, AlphaProviderIsConsultedPerRequest) {
   double alpha = 0.25;
   AcpComposer acp(*protocol, [&alpha] { return alpha; });
   const auto r1 = make_request();
-  counters.begin_window(engine.now());
+  const auto start = probe_messages();
   std::optional<CompositionOutcome> out;
   acp.compose(r1, [&](const CompositionOutcome& o) { out = o; });
   engine.run_until(engine.now() + 60.0);
-  const auto low = counters.window_count(sim::counter::kProbe);
+  const auto low = probe_messages() - start;
   ASSERT_TRUE(out.has_value());
 
   alpha = 1.0;  // provider change must take effect on the next request
   const auto r2 = make_request();
-  counters.begin_window(engine.now());
+  const auto mid = probe_messages();
   out.reset();
   acp.compose(r2, [&](const CompositionOutcome& o) { out = o; });
   engine.run_until(engine.now() + 60.0);
-  EXPECT_GT(counters.window_count(sim::counter::kProbe), low);
+  EXPECT_GT(probe_messages() - mid, low);
 }
 
 }  // namespace

@@ -43,8 +43,8 @@ struct FailureFixture : ::testing::Test {
       }
     }
     sessions = std::make_unique<stream::SessionTable>(*sys);
-    registry = std::make_unique<discovery::Registry>(*sys, counters);
-    global_state = std::make_unique<state::GlobalStateManager>(*sys, engine, counters);
+    registry = std::make_unique<discovery::Registry>(*sys, metrics);
+    global_state = std::make_unique<state::GlobalStateManager>(*sys, engine, metrics);
     global_state->start();
   }
 
@@ -78,7 +78,7 @@ struct FailureFixture : ::testing::Test {
   std::unique_ptr<discovery::Registry> registry;
   std::unique_ptr<state::GlobalStateManager> global_state;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   stream::RequestId next_id = 1;
   std::vector<stream::FunctionId> chain;
 };
@@ -90,7 +90,7 @@ TEST_F(FailureFixture, ExpiredTransientsFailCommitHonestly) {
   ProbingConfig cfg;
   cfg.transient_ttl_s = 1e-6;
   cfg.probe_timeout_s = 10.0;
-  ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry, global_state->view(),
+  ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry, global_state->view(),
                            util::Rng(7), cfg);
   const auto req = make_request();
   std::optional<CompositionOutcome> out;
@@ -107,7 +107,7 @@ TEST_F(FailureFixture, TimeoutBeforeAnyProbeReturnsFailsCleanly) {
   // The deputy's deadline fires before any probe can travel a link.
   ProbingConfig cfg;
   cfg.probe_timeout_s = 1e-9;
-  ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry, global_state->view(),
+  ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry, global_state->view(),
                            util::Rng(7), cfg);
   const auto req = make_request();
   std::optional<CompositionOutcome> out;
@@ -140,7 +140,7 @@ TEST_F(FailureFixture, RequestForUnprovidedFunctionFails) {
   req.qos_req = QoSVector::from_metrics(1000.0, 0.5);
   req.duration_s = 60.0;
 
-  ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry, global_state->view(),
+  ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry, global_state->view(),
                            util::Rng(7));
   std::optional<CompositionOutcome> out;
   protocol.execute(req, 1.0, PerHopPolicy::kGuided, SelectionPolicy::kBestPhi,
@@ -154,7 +154,7 @@ TEST_F(FailureFixture, FullySaturatedSystemFailsEveryRequest) {
   for (stream::NodeId n = 0; n < sys->node_count(); ++n) {
     ASSERT_TRUE(sys->commit_node_direct(999, n, ResourceVector(99.0, 990.0), 0.0));
   }
-  ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry, global_state->view(),
+  ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry, global_state->view(),
                            util::Rng(7));
   for (int i = 0; i < 5; ++i) {
     const auto req = make_request();
@@ -176,7 +176,7 @@ TEST_F(FailureFixture, ConcurrentRequestsContendWithoutLeaking) {
   // Several requests probe simultaneously; transient reservations collide.
   ProbingConfig cfg;
   cfg.transient_ttl_s = 30.0;
-  ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry, global_state->view(),
+  ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry, global_state->view(),
                            util::Rng(7), cfg);
   std::vector<workload::Request> reqs;
   for (int i = 0; i < 8; ++i) reqs.push_back(make_request());
@@ -197,7 +197,7 @@ TEST_F(FailureFixture, ConcurrentRequestsContendWithoutLeaking) {
 TEST_F(FailureFixture, TinyProbeBudgetStillTerminates) {
   ProbingConfig cfg;
   cfg.max_probes_per_request = 1;
-  ProbingProtocol protocol(*sys, *sessions, engine, counters, *registry, global_state->view(),
+  ProbingProtocol protocol(*sys, *sessions, engine, metrics, *registry, global_state->view(),
                            util::Rng(7), cfg);
   const auto req = make_request();
   std::optional<CompositionOutcome> out;

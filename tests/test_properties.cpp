@@ -43,10 +43,10 @@ struct World {
       }
     }
     sessions = std::make_unique<stream::SessionTable>(*sys);
-    registry = std::make_unique<discovery::Registry>(*sys, counters);
-    global_state = std::make_unique<state::GlobalStateManager>(*sys, engine, counters);
+    registry = std::make_unique<discovery::Registry>(*sys, metrics);
+    global_state = std::make_unique<state::GlobalStateManager>(*sys, engine, metrics);
     global_state->start();
-    protocol = std::make_unique<ProbingProtocol>(*sys, *sessions, engine, counters, *registry,
+    protocol = std::make_unique<ProbingProtocol>(*sys, *sessions, engine, metrics, *registry,
                                                  global_state->view(), util::Rng(seed + 4));
   }
 
@@ -71,7 +71,7 @@ struct World {
   std::unique_ptr<state::GlobalStateManager> global_state;
   std::unique_ptr<ProbingProtocol> protocol;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   std::vector<stream::FunctionId> chain;
 };
 
@@ -170,13 +170,12 @@ TEST_P(AlphaSweep, ProbeCostGrowsMonotonicallyWithAlphaOnIdleSystem) {
   World w(7);
   const double alpha = GetParam();
   const auto req = w.make_request(1);
-  w.counters.begin_window(w.engine.now());
   std::optional<CompositionOutcome> out;
   w.protocol->execute(req, alpha, PerHopPolicy::kGuided, SelectionPolicy::kBestPhi,
                       [&](const CompositionOutcome& o) { out = o; });
   w.engine.run_until(60.0);
   ASSERT_TRUE(out.has_value());
-  const auto probes = w.counters.window_count(sim::counter::kProbe);
+  const auto probes = w.metrics.counter_family_total(obs::metric::kProbeMessages);
   // M = ceil(alpha * 4) per hop over a 3-function path, plus returns: the
   // probe count is bounded by the full tree and at least one per level.
   EXPECT_GE(probes, 3u);

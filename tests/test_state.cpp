@@ -35,11 +35,11 @@ struct StateFixture : ::testing::Test {
   std::unique_ptr<stream::StreamSystem> sys;
   stream::ComponentId comp{};
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
 };
 
 TEST_F(StateFixture, StartSeedsFromGroundTruth) {
-  GlobalStateManager mgr(*sys, engine, counters);
+  GlobalStateManager mgr(*sys, engine, metrics);
   mgr.start();
   EXPECT_DOUBLE_EQ(mgr.view().node_available(3, 0.0).cpu(), 100.0);
 }
@@ -47,30 +47,30 @@ TEST_F(StateFixture, StartSeedsFromGroundTruth) {
 TEST_F(StateFixture, SmallChangesAreFilteredOut) {
   GlobalStateConfig cfg;
   cfg.threshold_fraction = 0.10;
-  GlobalStateManager mgr(*sys, engine, counters, cfg);
+  GlobalStateManager mgr(*sys, engine, metrics, cfg);
   mgr.start();
   // 5% change: below the 10% threshold — no update message, stale view.
   ASSERT_TRUE(sys->commit_node_direct(1, 2, stream::ResourceVector(5.0, 50.0), 0.0));
   mgr.run_check_sweep();
-  EXPECT_EQ(counters.total(sim::counter::kGlobalStateUpdate), 0u);
+  EXPECT_EQ(metrics.counter_family_total(obs::metric::kStateGlobalUpdates), 0u);
   EXPECT_DOUBLE_EQ(mgr.view().node_available(2, 0.0).cpu(), 100.0);  // stale
 }
 
 TEST_F(StateFixture, SignificantChangesTriggerUpdate) {
   GlobalStateConfig cfg;
   cfg.threshold_fraction = 0.10;
-  GlobalStateManager mgr(*sys, engine, counters, cfg);
+  GlobalStateManager mgr(*sys, engine, metrics, cfg);
   mgr.start();
   ASSERT_TRUE(sys->commit_node_direct(1, 2, stream::ResourceVector(20.0, 50.0), 0.0));
   mgr.run_check_sweep();
-  EXPECT_EQ(counters.total(sim::counter::kGlobalStateUpdate), 1u);
+  EXPECT_EQ(metrics.counter_family_total(obs::metric::kStateGlobalUpdates), 1u);
   EXPECT_DOUBLE_EQ(mgr.view().node_available(2, 0.0).cpu(), 80.0);  // fresh
 }
 
 TEST_F(StateFixture, LinkUpdatesFlowThroughAggregationPublish) {
   GlobalStateConfig cfg;
   cfg.threshold_fraction = 0.10;
-  GlobalStateManager mgr(*sys, engine, counters, cfg);
+  GlobalStateManager mgr(*sys, engine, metrics, cfg);
   mgr.start();
   const net::OverlayLinkIndex l = 0;
   const double cap = sys->link_pool(l).capacity();
@@ -78,7 +78,7 @@ TEST_F(StateFixture, LinkUpdatesFlowThroughAggregationPublish) {
 
   mgr.run_check_sweep();
   // The owner reported to the aggregation node…
-  EXPECT_EQ(counters.total(sim::counter::kAggregationUpdate), 1u);
+  EXPECT_EQ(metrics.counter_family_total(obs::metric::kStateAggregationUpdates), 1u);
   // …but the published global copy is only refreshed at the next publish.
   EXPECT_DOUBLE_EQ(mgr.view().link_available_kbps(l, 0.0), cap);
   mgr.run_publish();
@@ -86,7 +86,7 @@ TEST_F(StateFixture, LinkUpdatesFlowThroughAggregationPublish) {
 }
 
 TEST_F(StateFixture, AggregationRoleRotates) {
-  GlobalStateManager mgr(*sys, engine, counters);
+  GlobalStateManager mgr(*sys, engine, metrics);
   mgr.start();
   const auto first = mgr.aggregation_node();
   mgr.run_publish();
@@ -97,7 +97,7 @@ TEST_F(StateFixture, PeriodicTicksRunThroughEngine) {
   GlobalStateConfig cfg;
   cfg.check_interval_s = 10.0;
   cfg.aggregation_publish_interval_s = 60.0;
-  GlobalStateManager mgr(*sys, engine, counters, cfg);
+  GlobalStateManager mgr(*sys, engine, metrics, cfg);
   mgr.start();
   ASSERT_TRUE(sys->commit_node_direct(1, 4, stream::ResourceVector(50.0, 500.0), 0.0));
   engine.run_until(10.5);  // one check tick
@@ -105,13 +105,13 @@ TEST_F(StateFixture, PeriodicTicksRunThroughEngine) {
 }
 
 TEST_F(StateFixture, StartTwiceThrows) {
-  GlobalStateManager mgr(*sys, engine, counters);
+  GlobalStateManager mgr(*sys, engine, metrics);
   mgr.start();
   EXPECT_THROW(mgr.start(), acp::PreconditionError);
 }
 
 TEST_F(StateFixture, ComponentQosIsServedFromCoarseView) {
-  GlobalStateManager mgr(*sys, engine, counters);
+  GlobalStateManager mgr(*sys, engine, metrics);
   mgr.start();
   EXPECT_NEAR(mgr.view().component_qos(comp, 0.0).delay_ms(), 5.0, 1e-12);
 }
@@ -119,7 +119,7 @@ TEST_F(StateFixture, ComponentQosIsServedFromCoarseView) {
 // ---- Local state -------------------------------------------------------------
 
 TEST_F(StateFixture, LocalViewSelfIsAlwaysExact) {
-  LocalStateManager mgr(*sys, engine, counters);
+  LocalStateManager mgr(*sys, engine, metrics);
   mgr.start();
   ASSERT_TRUE(sys->commit_node_direct(1, 3, stream::ResourceVector(40.0, 100.0), 0.0));
   // No refresh has run since the commit, but node 3 knows itself.
@@ -129,7 +129,7 @@ TEST_F(StateFixture, LocalViewSelfIsAlwaysExact) {
 }
 
 TEST_F(StateFixture, LocalRefreshUpdatesNeighborhood) {
-  LocalStateManager mgr(*sys, engine, counters);
+  LocalStateManager mgr(*sys, engine, metrics);
   mgr.start();
   ASSERT_TRUE(sys->commit_node_direct(1, 3, stream::ResourceVector(40.0, 100.0), 0.0));
   mgr.run_refresh();
@@ -137,7 +137,7 @@ TEST_F(StateFixture, LocalRefreshUpdatesNeighborhood) {
 }
 
 TEST_F(StateFixture, AdjacentLinksAreExactFromEitherEnd) {
-  LocalStateManager mgr(*sys, engine, counters);
+  LocalStateManager mgr(*sys, engine, metrics);
   mgr.start();
   const net::OverlayLinkIndex l = 0;
   const auto& link = mesh->link(l);
@@ -150,9 +150,9 @@ TEST_F(StateFixture, AdjacentLinksAreExactFromEitherEnd) {
 TEST_F(StateFixture, RefreshMessagesCountedOnlyWhenEnabled) {
   LocalStateConfig cfg;
   cfg.count_messages = true;
-  LocalStateManager mgr(*sys, engine, counters, cfg);
+  LocalStateManager mgr(*sys, engine, metrics, cfg);
   mgr.start();
-  EXPECT_GT(counters.total(sim::counter::kLocalRefresh), 0u);
+  EXPECT_GT(metrics.counter_family_total(obs::metric::kStateLocalRefresh), 0u);
 }
 
 }  // namespace

@@ -134,17 +134,17 @@ void check_finalize(bool sharded, double transient_ttl_s) {
   World w;
   ProbingConfig cfg;
   cfg.transient_ttl_s = transient_ttl_s;
-  sim::CounterSet counters;
+  obs::MetricsRegistry metrics;
   std::deque<workload::Request> requests;
   Tally tally;
   constexpr std::size_t kRequests = 40;
 
   if (!sharded) {
     sim::Engine engine;
-    discovery::Registry registry(*w.sys, counters);
-    state::GlobalStateManager global(*w.sys, engine, counters);
+    discovery::Registry registry(*w.sys, metrics);
+    state::GlobalStateManager global(*w.sys, engine, metrics);
     global.start();
-    ProbingProtocol protocol(*w.sys, *w.sessions, engine, counters, registry, global.view(),
+    ProbingProtocol protocol(*w.sys, *w.sessions, engine, metrics, registry, global.view(),
                              util::Rng(7), cfg);
     launch(w, engine, protocol, requests, kRequests, tally);
     engine.run_until(120.0);
@@ -153,19 +153,19 @@ void check_finalize(bool sharded, double transient_ttl_s) {
     scfg.shards = 2;
     scfg.window_s = std::max(0.5, w.mesh->min_link_delay_ms() / 1000.0);
     sim::ShardedEngine engine(scfg);
-    state::GlobalStateManager global(*w.sys, engine.global(), counters);
+    state::GlobalStateManager global(*w.sys, engine.global(), metrics);
     global.start();
-    std::vector<std::unique_ptr<sim::CounterSet>> shard_counters;
+    std::vector<std::unique_ptr<obs::MetricsRegistry>> lane_metrics;
     std::vector<std::unique_ptr<discovery::Registry>> registries;
     std::vector<std::unique_ptr<stream::StateView>> views;
     std::vector<std::unique_ptr<ProbingProtocol>> protocols;
     std::vector<ProbingProtocol*> instances;
     for (std::size_t i = 0; i < scfg.shards; ++i) {
-      shard_counters.push_back(std::make_unique<sim::CounterSet>());
-      registries.push_back(std::make_unique<discovery::Registry>(*w.sys, *shard_counters.back()));
+      lane_metrics.push_back(std::make_unique<obs::MetricsRegistry>());
+      registries.push_back(std::make_unique<discovery::Registry>(*w.sys, *lane_metrics.back()));
       views.push_back(global.make_shard_view(nullptr));
       protocols.push_back(std::make_unique<ProbingProtocol>(
-          *w.sys, *w.sessions, engine.global(), *shard_counters.back(), *registries.back(),
+          *w.sys, *w.sessions, engine.global(), *lane_metrics.back(), *registries.back(),
           *views.back(), util::Rng(7), cfg));
       protocols.back()->set_shard_host(&engine);
       instances.push_back(protocols.back().get());

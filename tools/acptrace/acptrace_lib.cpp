@@ -1,7 +1,6 @@
 #include "acptrace/acptrace_lib.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <deque>
 #include <fstream>
@@ -13,199 +12,6 @@
 #include "util/error.h"
 
 namespace acp::tracecli {
-
-// ---- JSON parser -------------------------------------------------------------
-
-namespace {
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  JsonValue parse_document() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters after JSON document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw PreconditionError("json: " + why + " at offset " + std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.string = parse_string();
-        return v;
-      }
-      case 't':
-      case 'f': return parse_literal_bool();
-      case 'n': return parse_literal_null();
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = parse_string();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          // The writers in this repo never emit \u escapes for anything the
-          // analyzer compares; decode to '?' rather than carry ICU here.
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          pos_ += 4;
-          out += '?';
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-  }
-
-  JsonValue parse_number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (start == pos_) fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    try {
-      v.number = std::stod(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
-    return v;
-  }
-
-  JsonValue parse_literal_bool() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (s_.compare(pos_, 4, "true") == 0) {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (s_.compare(pos_, 5, "false") == 0) {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("bad literal");
-    }
-    return v;
-  }
-
-  JsonValue parse_literal_null() {
-    if (s_.compare(pos_, 4, "null") != 0) fail("bad literal");
-    pos_ += 4;
-    return JsonValue{};
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-const JsonValue* JsonValue::find(const std::string& key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-double JsonValue::num_or(const std::string& key, double fallback) const {
-  const JsonValue* v = find(key);
-  return (v != nullptr && v->kind == Kind::kNumber) ? v->number : fallback;
-}
-
-std::string JsonValue::str_or(const std::string& key, const std::string& fallback) const {
-  const JsonValue* v = find(key);
-  return (v != nullptr && v->kind == Kind::kString) ? v->string : fallback;
-}
-
-JsonValue parse_json(const std::string& text) { return JsonParser(text).parse_document(); }
 
 // ---- Trace loading -------------------------------------------------------------
 
@@ -1363,7 +1169,7 @@ AttrDoc load_attribution(std::istream& in) {
     JsonValue v;
     try {
       v = parse_json(line);
-    } catch (const std::exception& e) {
+    } catch (const PreconditionError& e) {
       throw PreconditionError("attribution line " + std::to_string(line_no) + ": " + e.what());
     }
     const std::string type = v.str_or("type", "");
@@ -1444,8 +1250,9 @@ struct PhaseScope {
   const char* scope;
 };
 
-/// Phases whose AttrWallScope sits at the same call site as a ProfScope —
-/// the pairs reconcile_attribution can hold to exact-count agreement.
+/// Phases whose attr_host rows come from the same ProfScope as the named
+/// profiler scope — the pairs reconcile_attribution can hold to exact-count
+/// agreement.
 constexpr PhaseScope kPhaseScopes[] = {
     {"probe", "probing.process_probe"},
     {"rank", "probing.rank_candidates"},

@@ -32,34 +32,17 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace acp::tracecli {
 
-// ---- Minimal JSON document parser (for BENCH_*.json) ------------------------
+// ---- JSON documents (BENCH_*.json, attribution rows) -------------------------
 
-/// Recursive JSON value. Small and allocation-happy — these documents are a
-/// few KB; clarity beats speed here (the hot-path format is JSONL, parsed
-/// by obs::parse_trace_line instead).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;  // insertion order
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* find(const std::string& key) const;
-  /// Convenience accessors returning a fallback when absent/mistyped.
-  double num_or(const std::string& key, double fallback) const;
-  std::string str_or(const std::string& key, const std::string& fallback) const;
-};
-
-/// Parses one complete JSON document. Throws PreconditionError on malformed
-/// input or trailing garbage.
-JsonValue parse_json(const std::string& text);
+/// The repo's one JSON reader (obs/json.h), re-exported for the analyzer's
+/// callers.
+using obs::JsonValue;
+using obs::parse_json;
 
 // ---- Trace loading ----------------------------------------------------------
 
