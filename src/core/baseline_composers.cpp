@@ -53,10 +53,11 @@ CompositionOutcome finalize_direct(const BaselineContext& ctx, const workload::R
   }
 
   const double now = ctx.engine->now();
+  const stream::StateView& view = ctx.sys->true_state();
   stream::CompositionScratch scratch;
-  scratch.begin(req.graph);
+  scratch.begin(req.graph, view, now);
   const std::optional<double> phi =
-      graph->qualify(*ctx.sys, ctx.sys->true_state(), req.qos_req, req.policy, now, scratch);
+      graph->qualify(*ctx.sys, view, req.qos_req, req.policy, now, scratch);
   if (!phi) {
     observe_outcome(ctx, req, out);
     return out;

@@ -676,7 +676,7 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
   // probes exactly so these resources are held for it) read as available.
   // One fused pass per graph yields the verdict and φ together.
   const stream::StreamSystem::RequestScopedView view(*sys_, req.id);
-  compose_scratch_.begin(req.graph);
+  compose_scratch_.begin(req.graph, view, now);
   std::vector<Qualified> qualified;
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const std::optional<double> phi =
@@ -820,8 +820,10 @@ void ProbingProtocol::finalize_sharded(const std::shared_ptr<Coordinator>& coord
 
     // Commit-time re-qualification against live pool state: first ranked
     // preference that still satisfies Eqs. 2–5 wins, with its live φ.
+    // Beginning the table afresh drops every availability the worker read
+    // from the window-frozen view.
     const stream::StreamSystem::RequestScopedView view(*sys_, creq.id);
-    compose_scratch_.begin(creq.graph);
+    compose_scratch_.begin(creq.graph, view, now);
     const stream::ComponentGraph* winner = nullptr;
     for (const std::size_t i : ranked) {
       const std::optional<double> phi = (*shared_graphs)[i].qualify(

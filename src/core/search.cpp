@@ -90,7 +90,7 @@ std::optional<ComponentGraph> best_of(const StreamSystem& sys, const workload::R
   std::optional<ComponentGraph> best;
   double best_phi = 0.0;
   stream::CompositionScratch scratch;
-  scratch.begin(req.graph);
+  scratch.begin(req.graph, eval_view, now);
   for (auto& g : graphs) {
     if (stats) ++stats->examined;
     const std::optional<double> phi =
@@ -220,7 +220,8 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
 
   // QoS along every source→sink path is already guaranteed by the
   // QoS-pruned path walk, so only Eq. 4/5 feasibility and φ remain.
-  stream::Footprint footprint;
+  stream::CompositionScratch scratch;
+  scratch.begin(req.graph, view, now);
   std::optional<std::vector<ComponentId>> best_assignment;
   double best_phi = std::numeric_limits<double>::infinity();
   std::size_t evals = 0;
@@ -230,8 +231,8 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
     if (lower_bound >= best_phi) return false;
     ++evals;
     if (stats) ++stats->examined;
-    footprint.build(sys, req.graph, assignment.data());
-    if (footprint.feasible(view, now)) {
+    const stream::Footprint& footprint = scratch.footprint(sys, assignment.data());
+    if (footprint.feasible()) {
       const double phi = footprint.phi();
       if (stats) ++stats->qualified;
       if (phi < best_phi) {

@@ -32,8 +32,10 @@ void WhatIfView::take_link(net::OverlayLinkIndex l, double kbps) { link_taken_[l
 
 void WhatIfView::apply_composition(const stream::StreamSystem& sys,
                                    const stream::ComponentGraph& cg) {
-  stream::Footprint fp;
-  cg.footprint(sys, fp);
+  // Only demands are taken: nothing is read through the bound view.
+  stream::CompositionScratch scratch;
+  scratch.begin(cg.function_graph(), *this, 0.0);
+  const stream::Footprint& fp = cg.footprint(sys, scratch);
   for (const auto& n : fp.nodes()) take_node(n.node, n.demand);
   for (const auto& l : fp.links()) take_link(l.link, l.kbps);
 }

@@ -19,6 +19,23 @@ OverlayMesh::OverlayMesh(const Graph& ip, const OverlayConfig& config, util::Rng
   //    selection).
   ip_routes_ = std::make_unique<RoutingTable>(ip, members_);
 
+  //    Every host's closest member, swept row-major over the member trees;
+  //    the strict < keeps the lowest member index on ties, and member 0 for
+  //    a host no member reaches.
+  {
+    std::vector<double> best(ip.node_count(), kUnreachable);
+    closest_.assign(ip.node_count(), 0);
+    for (OverlayNodeIndex o = 0; o < members_.size(); ++o) {
+      const std::vector<double>& row = ip_routes_->distances(members_[o]);
+      for (NodeIndex h = 0; h < ip.node_count(); ++h) {
+        if (row[h] < best[h]) {
+          best[h] = row[h];
+          closest_[h] = o;
+        }
+      }
+    }
+  }
+
   // 3. Wire each member to its K nearest members by IP delay.
   const std::size_t n = members_.size();
   std::size_t k = config.neighbors_per_node;
@@ -204,16 +221,8 @@ OverlayNodeIndex OverlayMesh::closest_member(NodeIndex ip_node) const {
     ACP_REQUIRE(ip_node < members_.size());
     return static_cast<OverlayNodeIndex>(ip_node);
   }
-  double best = kUnreachable;
-  OverlayNodeIndex best_member = 0;
-  for (OverlayNodeIndex o = 0; o < members_.size(); ++o) {
-    const double d = ip_routes_->distance(members_[o], ip_node);
-    if (d < best) {
-      best = d;
-      best_member = o;
-    }
-  }
-  return best_member;
+  ACP_REQUIRE(ip_node < closest_.size());
+  return closest_[ip_node];
 }
 
 OverlayNodeIndex OverlayMesh::closest_member_where(

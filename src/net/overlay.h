@@ -120,7 +120,9 @@ class OverlayMesh {
   double min_link_delay_ms() const;
 
   /// Overlay member closest (by IP delay) to an arbitrary IP host — the
-  /// paper's deputy-node selection by proximity.
+  /// paper's deputy-node selection by proximity. Ties go to the lowest
+  /// member index; a host no member reaches maps to member 0. One table
+  /// read (a torus maps each host to itself).
   OverlayNodeIndex closest_member(NodeIndex ip_node) const;
 
   /// Like closest_member, but restricted to members satisfying `eligible`
@@ -189,6 +191,9 @@ class OverlayMesh {
   std::vector<OverlayLink> links_;          ///< parallel to mesh_ edges
   std::unique_ptr<RoutingTable> ip_routes_; ///< trees rooted at member hosts
   std::unique_ptr<RoutingTable> overlay_routes_;  ///< APSP over mesh_
+  /// IP host -> closest member (closest_member's answer). Empty in torus
+  /// mode, where the mapping is the identity.
+  std::vector<OverlayNodeIndex> closest_;
   /// Per-pair cached paths, row-major (a * node_count + b). Empty in torus
   /// mode — O(N²) tables are exactly what the torus exists to avoid.
   std::vector<std::vector<OverlayLinkIndex>> pair_paths_;

@@ -89,6 +89,10 @@ double RoutingTable::distance(NodeIndex from, NodeIndex to) const {
   return t.distance[to];
 }
 
+const std::vector<double>& RoutingTable::distances(NodeIndex from) const {
+  return tree(from).distance;
+}
+
 std::vector<NodeIndex> RoutingTable::path(NodeIndex from, NodeIndex to) const {
   return extract_path(tree(from), to);
 }

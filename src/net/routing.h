@@ -49,6 +49,8 @@ class RoutingTable {
   bool has_source(NodeIndex s) const;
 
   double distance(NodeIndex from, NodeIndex to) const;
+  /// Every node's distance from `from`, indexed by node (one tree's row).
+  const std::vector<double>& distances(NodeIndex from) const;
   std::vector<NodeIndex> path(NodeIndex from, NodeIndex to) const;
   std::vector<EdgeIndex> path_edges(NodeIndex from, NodeIndex to) const;
 

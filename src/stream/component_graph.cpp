@@ -48,15 +48,15 @@ bool ComponentGraph::functions_match(const StreamSystem& sys) const {
 
 // ---- Footprint --------------------------------------------------------------
 
-void Footprint::build(const StreamSystem& sys, const FunctionGraph& fg,
-                      const ComponentId* assignment) {
-  fg_ = &fg;
+void Footprint::build(const StreamSystem& sys, const ComponentId* assignment,
+                      CompositionScratch& table) {
+  const FunctionGraph& fg = *table.fg_;
+  table_ = &table;
   nodes_.clear();
   fn_entry_.clear();
   links_.clear();
   edge_links_.clear();
   edge_end_.clear();
-  link_entry_.clear();
 
   // Node demand, summed per node in function-node order. A composition has
   // a handful of function nodes, so a linear scan finds the entry.
@@ -64,52 +64,53 @@ void Footprint::build(const StreamSystem& sys, const FunctionGraph& fg,
     const NodeId node = sys.component(assignment[i]).node;
     std::uint32_t k = 0;
     while (k < nodes_.size() && nodes_[k].node != node) ++k;
-    if (k == nodes_.size()) nodes_.push_back(NodeEntry{node, ResourceVector{}, ResourceVector{}});
+    if (k == nodes_.size()) {
+      nodes_.push_back(NodeEntry{node, ResourceVector{}, table.node_slot(node)});
+    }
     nodes_[k].demand += fg.node(i).required;
     fn_entry_.push_back(k);
   }
 
   // Link bandwidth, summed per overlay link in edge order; each edge keeps
-  // its walk so φ can take the bottleneck along it.
+  // its walk so φ can take the bottleneck along it. A slot stamped with this
+  // build's epoch already has its entry.
+  const std::uint32_t epoch = ++table.epoch_;
   for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
     const FnEdge& edge = fg.edge(e);
     const NodeId a = nodes_[fn_entry_[edge.from]].node;
     const NodeId b = nodes_[fn_entry_[edge.to]].node;
     if (a != b) {  // co-located: no bandwidth consumed
-      sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-        const std::uint32_t* found = link_entry_.find(l);
-        const auto k = found != nullptr ? *found : static_cast<std::uint32_t>(links_.size());
-        if (found == nullptr) {
-          links_.push_back(LinkEntry{l, 0.0, 0.0});
-          link_entry_.insert_or_assign(l, k);
+      const CompositionScratch::VirtualLink& v = table.virtual_link(sys, a, b);
+      for (std::uint32_t w = v.first; w < v.last; ++w) {
+        const std::uint32_t slot = table.walks_[w];
+        CompositionScratch::LinkSlot& s = table.link_slots_[slot];
+        if (s.stamp != epoch) {
+          s.stamp = epoch;
+          s.entry = static_cast<std::uint32_t>(links_.size());
+          links_.push_back(LinkEntry{s.link, 0.0, slot});
         }
-        links_[k].kbps += edge.required_bandwidth_kbps;
-        edge_links_.push_back(k);
-      });
+        links_[s.entry].kbps += edge.required_bandwidth_kbps;
+        edge_links_.push_back(s.entry);
+      }
     }
     edge_end_.push_back(static_cast<std::uint32_t>(edge_links_.size()));
   }
 }
 
-bool Footprint::feasible(const StateView& view, double now) {
-  for (NodeEntry& n : nodes_) {
-    n.available = view.node_available(n.node, now);
-    if (!n.demand.fits_within(n.available)) return false;
+bool Footprint::feasible() const {
+  ACP_REQUIRE(table_ != nullptr);
+  for (const NodeEntry& n : nodes_) {
+    if (!n.demand.fits_within(table_->node_available(n.slot))) return false;
   }
-  for (LinkEntry& l : links_) {
-    l.available = view.link_available_kbps(l.link, now);
-    if (l.kbps > l.available) return false;
+  for (const LinkEntry& l : links_) {
+    if (l.kbps > table_->link_available(l.slot)) return false;
   }
   return true;
 }
 
-void Footprint::read_available(const StateView& view, double now) {
-  for (NodeEntry& n : nodes_) n.available = view.node_available(n.node, now);
-  for (LinkEntry& l : links_) l.available = view.link_available_kbps(l.link, now);
-}
-
 double Footprint::phi() const {
-  ACP_REQUIRE(fg_ != nullptr);
+  ACP_REQUIRE(table_ != nullptr);
+  const FunctionGraph& fg = *table_->fg_;
   double phi = 0.0;
 
   // Node terms: residual on each node accounts for the composition's entire
@@ -117,7 +118,7 @@ double Footprint::phi() const {
   // Σ_k r_k / (rr_k + r_k).
   for (FnNodeIndex i = 0; i < fn_entry_.size(); ++i) {
     const NodeEntry& n = nodes_[fn_entry_[i]];
-    phi += congestion_terms(fg_->node(i).required, n.available - n.demand);
+    phi += congestion_terms(fg.node(i).required, table_->node_available(n.slot) - n.demand);
   }
 
   // Virtual-link terms: b / (rb + b) where rb is the bottleneck residual
@@ -129,9 +130,9 @@ double Footprint::phi() const {
     double residual = std::numeric_limits<double>::infinity();
     for (std::uint32_t k = begin; k < end; ++k) {
       const LinkEntry& l = links_[edge_links_[k]];
-      residual = std::min(residual, l.available - l.kbps);
+      residual = std::min(residual, table_->link_available(l.slot) - l.kbps);
     }
-    phi += congestion_term(fg_->edge(e).required_bandwidth_kbps, residual);
+    phi += congestion_term(fg.edge(e).required_bandwidth_kbps, residual);
     begin = end;
   }
   return phi;
@@ -139,26 +140,65 @@ double Footprint::phi() const {
 
 // ---- CompositionScratch -----------------------------------------------------
 
-void CompositionScratch::begin(const FunctionGraph& fg) {
+void CompositionScratch::begin(const FunctionGraph& fg, const StateView& view, double now) {
   fg_ = &fg;
+  view_ = &view;
+  now_ = now;
   paths_ = fg.enumerate_paths();
-  link_qos_.clear();
+  vlink_index_.clear();
+  vlinks_.clear();
+  walks_.clear();
+  link_slot_index_.clear();
+  link_slots_.clear();
+  epoch_ = 0;
+  node_slot_index_.clear();
+  node_slots_.clear();
 }
 
-QoSVector CompositionScratch::virtual_link_qos(const StreamSystem& sys, const StateView& view,
-                                               NodeId a, NodeId b, double now) {
+const Footprint& CompositionScratch::footprint(const StreamSystem& sys,
+                                               const ComponentId* assignment) {
+  ACP_REQUIRE_MSG(fg_ != nullptr, "scratch not begun");
+  footprint_.build(sys, assignment, *this);
+  return footprint_;
+}
+
+const CompositionScratch::VirtualLink& CompositionScratch::virtual_link(const StreamSystem& sys,
+                                                                        NodeId a, NodeId b) {
   const std::uint64_t key = (std::uint64_t{a} << 32) | b;
-  if (const QoSVector* q = link_qos_.find(key)) return *q;
-  const QoSVector q = view.virtual_link_qos(sys.mesh(), a, b, now);
-  link_qos_.insert_or_assign(key, q);
-  return q;
+  if (const std::uint32_t* v = vlink_index_.find(key)) return vlinks_[*v];
+  VirtualLink v{QoSVector{}, static_cast<std::uint32_t>(walks_.size()), 0};
+  // Co-located endpoints have an empty walk and zero QoS (footnote 4).
+  if (a != b) {
+    sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+      v.qos += view_->link_qos(l, now_);
+      const std::uint32_t* found = link_slot_index_.find(l);
+      const auto slot = found != nullptr ? *found : static_cast<std::uint32_t>(link_slots_.size());
+      if (found == nullptr) {
+        link_slots_.push_back(LinkSlot{l, false, 0, 0, 0.0});
+        link_slot_index_.insert_or_assign(l, slot);
+      }
+      walks_.push_back(slot);
+    });
+  }
+  v.last = static_cast<std::uint32_t>(walks_.size());
+  vlink_index_.insert_or_assign(key, static_cast<std::uint32_t>(vlinks_.size()));
+  vlinks_.push_back(v);
+  return vlinks_.back();
+}
+
+std::uint32_t CompositionScratch::node_slot(NodeId node) {
+  if (const std::uint32_t* found = node_slot_index_.find(node)) return *found;
+  const auto slot = static_cast<std::uint32_t>(node_slots_.size());
+  node_slots_.push_back(NodeSlot{node, false, ResourceVector{}});
+  node_slot_index_.insert_or_assign(node, slot);
+  return slot;
 }
 
 // ---- ComponentGraph evaluation ----------------------------------------------
 
 QoSVector ComponentGraph::path_qos(const StreamSystem& sys, const StateView& view,
                                    const std::vector<FnNodeIndex>& path, double now,
-                                   CompositionScratch* memo) const {
+                                   CompositionScratch* table) const {
   QoSVector q;
   for (std::size_t i = 0; i < path.size(); ++i) {
     const ComponentId c = component_at(path[i]);
@@ -166,8 +206,8 @@ QoSVector ComponentGraph::path_qos(const StreamSystem& sys, const StateView& vie
     if (i + 1 < path.size()) {
       const NodeId a = sys.component(c).node;
       const NodeId b = sys.component(component_at(path[i + 1])).node;
-      q += memo != nullptr ? memo->virtual_link_qos(sys, view, a, b, now)
-                           : view.virtual_link_qos(sys.mesh(), a, b, now);
+      q += table != nullptr ? table->virtual_link(sys, a, b).qos
+                            : view.virtual_link_qos(sys.mesh(), a, b, now);
     }
   }
   return q;
@@ -181,24 +221,25 @@ bool ComponentGraph::satisfies_qos(const StreamSystem& sys, const StateView& vie
   return true;
 }
 
-void ComponentGraph::footprint(const StreamSystem& sys, Footprint& out) const {
+const Footprint& ComponentGraph::footprint(const StreamSystem& sys,
+                                          CompositionScratch& scratch) const {
   ACP_REQUIRE_MSG(fully_assigned(), "function node not assigned");
-  out.build(sys, *fg_, assignment_.data());
+  ACP_REQUIRE_MSG(scratch.fg_ == fg_, "scratch begun on another function graph");
+  return scratch.footprint(sys, assignment_.data());
 }
 
 bool ComponentGraph::resources_feasible(const StreamSystem& sys, const StateView& view,
                                         double now) const {
-  Footprint fp;
-  footprint(sys, fp);
-  return fp.feasible(view, now);
+  CompositionScratch scratch;
+  scratch.begin(*fg_, view, now);
+  return footprint(sys, scratch).feasible();
 }
 
 double ComponentGraph::congestion_aggregation(const StreamSystem& sys, const StateView& view,
                                               double now) const {
-  Footprint fp;
-  footprint(sys, fp);
-  fp.read_available(view, now);
-  return fp.phi();
+  CompositionScratch scratch;
+  scratch.begin(*fg_, view, now);
+  return footprint(sys, scratch).phi();
 }
 
 bool ComponentGraph::satisfies_policy(const StreamSystem& sys,
@@ -231,7 +272,7 @@ bool ComponentGraph::qualified(const StreamSystem& sys, const StateView& view,
                                const QoSVector& qos_req, const PolicyConstraint& policy,
                                double now) const {
   CompositionScratch scratch;
-  scratch.begin(*fg_);
+  scratch.begin(*fg_, view, now);
   return qualify(sys, view, qos_req, policy, now, scratch).has_value();
 }
 
@@ -240,6 +281,8 @@ std::optional<double> ComponentGraph::qualify(const StreamSystem& sys, const Sta
                                               const PolicyConstraint& policy, double now,
                                               CompositionScratch& scratch) const {
   ACP_REQUIRE_MSG(scratch.fg_ == fg_, "scratch begun on another function graph");
+  ACP_REQUIRE_MSG(scratch.view_ == &view && scratch.now_ == now,
+                  "scratch begun on another view or instant");
   if (!satisfies_policy(sys, policy) || !fully_assigned() || !functions_match(sys) ||
       !interfaces_compatible(sys)) {
     return std::nullopt;
@@ -247,9 +290,8 @@ std::optional<double> ComponentGraph::qualify(const StreamSystem& sys, const Sta
   for (const auto& path : scratch.paths_) {
     if (!path_qos(sys, view, path, now, &scratch).satisfies(qos_req)) return std::nullopt;
   }
-  Footprint& fp = scratch.footprint_;
-  fp.build(sys, *fg_, assignment_.data());
-  if (!fp.feasible(view, now)) return std::nullopt;
+  const Footprint& fp = scratch.footprint(sys, assignment_.data());
+  if (!fp.feasible()) return std::nullopt;
   return fp.phi();
 }
 

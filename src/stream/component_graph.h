@@ -26,6 +26,8 @@
 
 namespace acp::stream {
 
+class CompositionScratch;
+
 /// The resource footprint of one composition on flat storage: every
 /// distinct node it occupies, with the demand of the function nodes placed
 /// there summed in function-node order, and every distinct overlay link its
@@ -34,44 +36,46 @@ namespace acp::stream {
 /// (footnote 8). An edge between distinct nodes enters its links even at
 /// 0 kbps, so a degraded pool with negative availability still fails Eq. 5.
 ///
-/// One instance is reused across compositions: build() keeps its capacity,
-/// so steady-state evaluation does not allocate, and every step costs
-/// O(size of the composition).
+/// A footprint lives in a CompositionScratch and is built against its
+/// request-scoped link table: every entry names a request-local slot, whose
+/// availability the table reads at most once per request. Rebuilding keeps
+/// capacity, so steady-state evaluation does not allocate, and every step
+/// costs O(size of the composition).
 class Footprint {
  public:
   struct NodeEntry {
     NodeId node;
     ResourceVector demand;
-    ResourceVector available;  ///< as read by the last feasible()/read_available()
+    std::uint32_t slot;  ///< the node's slot in the request's table
   };
   struct LinkEntry {
     net::OverlayLinkIndex link;
     double kbps;
-    double available;  ///< as read by the last feasible()/read_available()
+    std::uint32_t slot;  ///< the link's slot in the request's table
   };
-
-  /// Rebuilds the tables for `assignment`: one component per function node
-  /// of `fg`, which must outlive the next phi() call.
-  void build(const StreamSystem& sys, const FunctionGraph& fg, const ComponentId* assignment);
 
   const std::vector<NodeEntry>& nodes() const { return nodes_; }
   const std::vector<LinkEntry>& links() const { return links_; }
 
-  /// Eq. 4 + 5 against `view`: reads each entry's availability once (kept
-  /// for phi()) and stops at the first entry whose demand does not fit.
-  bool feasible(const StateView& view, double now);
+  /// Eq. 4 + 5 against the view the table was begun on; stops at the first
+  /// entry whose demand does not fit.
+  bool feasible() const;
 
-  /// Reads every entry's availability without checking it (φ of a
-  /// composition that may be infeasible).
-  void read_available(const StateView& view, double now);
-
-  /// Eq. 1 over the availabilities read last: one node term per function
-  /// node in function-node order, then one bandwidth term per network edge
-  /// in edge order, each on the residual after the whole footprint.
+  /// Eq. 1: one node term per function node in function-node order, then
+  /// one bandwidth term per network edge in edge order, each on the
+  /// residual after the whole footprint. Defined whether or not feasible.
   double phi() const;
 
  private:
-  const FunctionGraph* fg_ = nullptr;
+  friend class CompositionScratch;
+
+  Footprint() = default;
+
+  /// Rebuilds the tables for `assignment`: one component per function node
+  /// of the graph `table` was begun on.
+  void build(const StreamSystem& sys, const ComponentId* assignment, CompositionScratch& table);
+
+  CompositionScratch* table_ = nullptr;
   std::vector<NodeEntry> nodes_;
   /// Per function node: its entry in nodes_.
   std::vector<std::uint32_t> fn_entry_;
@@ -80,32 +84,98 @@ class Footprint {
   /// ends at edge_end_[e] (an empty run: co-located endpoints).
   std::vector<std::uint32_t> edge_links_;
   std::vector<std::uint32_t> edge_end_;
-  /// Overlay link → its entry in links_.
-  util::FlatMap<net::OverlayLinkIndex, std::uint32_t> link_entry_;
 };
 
-/// Caller-owned scratch for ComponentGraph::qualify over the compositions
-/// of one request: the footprint tables, the request's source→sink paths
-/// and the virtual-link QoS already summed for it. Each thread of
-/// evaluation owns its own (a ProbingProtocol owns one per instance); it is
-/// never shared.
+/// Caller-owned scratch for evaluating the compositions of one request: a
+/// request-scoped link table plus the footprint built on it. The table
+/// holds the request's source→sink paths; one entry per distinct virtual
+/// link (a, b) with its QoS sum and its walk as request-local link slots
+/// (an overlay link gets a slot the first time any walk of the request
+/// touches it); and one entry per link or node slot with its availability,
+/// read from the view at most once per request. Compositions that share
+/// virtual links therefore walk, hash and read each of them once.
+///
+/// begin() binds the table to one (function graph, view, now) and forgets
+/// everything memoised before; evaluation requires that same view and now.
+/// Call it again before switching request, view or instant — and whenever
+/// the pools under the view may have changed. Each thread of evaluation
+/// owns its own (a ProbingProtocol owns one per instance); it is never
+/// shared.
 class CompositionScratch {
  public:
-  /// Starts evaluating compositions of `fg` against one view: caches the
-  /// graph's paths and forgets the memoised virtual-link QoS. Call again
-  /// before switching request or view.
-  void begin(const FunctionGraph& fg);
+  CompositionScratch() = default;
+  CompositionScratch(const CompositionScratch&) = delete;
+  CompositionScratch& operator=(const CompositionScratch&) = delete;
+
+  /// Starts evaluating compositions of `fg` against `view` at `now`; both
+  /// `fg` and `view` must outlive the evaluation.
+  void begin(const FunctionGraph& fg, const StateView& view, double now);
+
+  /// The footprint of `assignment` (one component per function node of the
+  /// begun graph), valid until the next footprint or qualify on this
+  /// scratch.
+  const Footprint& footprint(const StreamSystem& sys, const ComponentId* assignment);
 
  private:
   friend class ComponentGraph;
+  friend class Footprint;
 
-  /// view.virtual_link_qos(a, b), summed once per (a, b) until begin().
-  QoSVector virtual_link_qos(const StreamSystem& sys, const StateView& view, NodeId a, NodeId b,
-                             double now);
+  struct VirtualLink {
+    QoSVector qos;  ///< Σ view.link_qos over the walk, in walk order
+    /// The walk's slots: walks_[first, last).
+    std::uint32_t first;
+    std::uint32_t last;
+  };
+  struct LinkSlot {
+    net::OverlayLinkIndex link;
+    bool read;  ///< `available` holds the view's value
+    /// The build that last entered this slot, and the slot's entry in its
+    /// links_.
+    std::uint32_t stamp;
+    std::uint32_t entry;
+    double available;
+  };
+  struct NodeSlot {
+    NodeId node;
+    bool read;
+    ResourceVector available;
+  };
+
+  /// The table entry of virtual link a→b, created (walked, slotted and its
+  /// QoS summed) on first use in the request.
+  const VirtualLink& virtual_link(const StreamSystem& sys, NodeId a, NodeId b);
+  std::uint32_t node_slot(NodeId node);
+
+  /// A slot's availability, read from the view on first use.
+  double link_available(std::uint32_t slot) {
+    LinkSlot& s = link_slots_[slot];
+    if (!s.read) {
+      s.available = view_->link_available_kbps(s.link, now_);
+      s.read = true;
+    }
+    return s.available;
+  }
+  const ResourceVector& node_available(std::uint32_t slot) {
+    NodeSlot& s = node_slots_[slot];
+    if (!s.read) {
+      s.available = view_->node_available(s.node, now_);
+      s.read = true;
+    }
+    return s.available;
+  }
 
   const FunctionGraph* fg_ = nullptr;
+  const StateView* view_ = nullptr;
+  double now_ = 0.0;
   std::vector<std::vector<FnNodeIndex>> paths_;
-  util::FlatMap<std::uint64_t, QoSVector> link_qos_;
+  util::FlatMap<std::uint64_t, std::uint32_t> vlink_index_;  ///< (a, b) → vlinks_
+  std::vector<VirtualLink> vlinks_;
+  std::vector<std::uint32_t> walks_;  ///< link slots of every walk, concatenated
+  util::FlatMap<net::OverlayLinkIndex, std::uint32_t> link_slot_index_;
+  std::vector<LinkSlot> link_slots_;
+  std::uint32_t epoch_ = 0;  ///< stamp of the current build
+  util::FlatMap<NodeId, std::uint32_t> node_slot_index_;
+  std::vector<NodeSlot> node_slots_;
   Footprint footprint_;
 };
 
@@ -140,11 +210,12 @@ class ComponentGraph {
   bool interfaces_compatible(const StreamSystem& sys) const;
 
   /// Accumulated QoS of one source→sink path (components + virtual links,
-  /// added in path order). With `memo`, each virtual link's QoS is summed
-  /// once per request instead of once per path and composition.
+  /// added in path order). With `table` (begun on `view` and `now`), each
+  /// virtual link's QoS is summed once per request instead of once per path
+  /// and composition.
   QoSVector path_qos(const StreamSystem& sys, const StateView& view,
                      const std::vector<FnNodeIndex>& path, double now,
-                     CompositionScratch* memo = nullptr) const;
+                     CompositionScratch* table = nullptr) const;
 
   /// Eq. 3: every source→sink path's accumulated QoS satisfies `req`.
   bool satisfies_qos(const StreamSystem& sys, const StateView& view, const QoSVector& req,
@@ -177,14 +248,14 @@ class ComponentGraph {
   /// The fused pass behind qualified(): the policy constraint and Eqs. 2–5,
   /// then φ (Eq. 1) from the same footprint. Returns φ when the composition
   /// qualifies, nullopt otherwise. `scratch` must have been begun on this
-  /// graph's function graph and `view`.
+  /// graph's function graph, `view` and `now`.
   std::optional<double> qualify(const StreamSystem& sys, const StateView& view,
                                 const QoSVector& qos_req, const PolicyConstraint& policy,
                                 double now, CompositionScratch& scratch) const;
 
-  /// This composition's footprint, built into `out` (requires
-  /// fully_assigned()).
-  void footprint(const StreamSystem& sys, Footprint& out) const;
+  /// This composition's footprint, built in `scratch` (requires
+  /// fully_assigned() and a scratch begun on this graph's function graph).
+  const Footprint& footprint(const StreamSystem& sys, CompositionScratch& scratch) const;
 
   bool operator==(const ComponentGraph& o) const { return assignment_ == o.assignment_; }
 

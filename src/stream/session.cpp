@@ -87,9 +87,9 @@ SessionId SessionTable::commit_direct(RequestId request, const ComponentGraph& c
   bool ok = true;
   // Per-node aggregated commit keeps co-located components honest: both
   // demands must fit together.
-  Footprint fp;
-  cg.footprint(*sys_, fp);
-  for (const Footprint::NodeEntry& n : fp.nodes()) {
+  CompositionScratch scratch;
+  scratch.begin(cg.function_graph(), sys_->true_state(), now);
+  for (const Footprint::NodeEntry& n : cg.footprint(*sys_, scratch).nodes()) {
     if (!sys_->commit_node_direct(id, n.node, n.demand, now)) {
       ok = false;
       break;

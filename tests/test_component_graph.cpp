@@ -107,8 +107,9 @@ TEST_F(CgFixture, DemandAggregatesOnSharedNode) {
   g.assign(0, c0);
   g.assign(1, c1_on_node0);  // co-located with c0 on node 0
   g.assign(2, c2);
-  Footprint fp;
-  g.footprint(*sys, fp);
+  CompositionScratch scratch;
+  scratch.begin(fg, sys->true_state(), 0.0);
+  const Footprint& fp = g.footprint(*sys, scratch);
   // One entry per distinct node, in order of first placement.
   ASSERT_EQ(fp.nodes().size(), 2u);
   EXPECT_EQ(fp.nodes()[0].node, 0u);
@@ -123,8 +124,9 @@ TEST_F(CgFixture, CoLocatedEdgeConsumesNoBandwidth) {
   g.assign(0, c0);
   g.assign(1, c1_on_node0);
   g.assign(2, c2);
-  Footprint fp;
-  g.footprint(*sys, fp);
+  CompositionScratch scratch;
+  scratch.begin(fg, sys->true_state(), 0.0);
+  const Footprint& fp = g.footprint(*sys, scratch);
   std::map<net::OverlayLinkIndex, double> bw;
   for (const auto& entry : fp.links()) {
     EXPECT_EQ(bw.count(entry.link), 0u) << "link " << entry.link << " entered twice";

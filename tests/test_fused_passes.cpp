@@ -7,7 +7,10 @@
 // here literally from the equations, on random compositions over the torus
 // and over the paper's Inet-derived mesh — including edges that share
 // overlay links, co-located components, zero-bandwidth edges and
-// capacity-degraded pools with negative availability.
+// capacity-degraded pools with negative availability. The scratch's
+// request-scoped link table must also forget, on begin(), every
+// availability it read: a pool drained or a view switched between two
+// begin() calls changes the verdict and φ exactly as the equations say.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,11 +18,13 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/candidate_selection.h"
 #include "net/topology.h"
 #include "stream/component_graph.h"
+#include "util/error.h"
 #include "workload/templates.h"
 
 namespace acp::stream {
@@ -255,7 +260,7 @@ void check_fused_qualify(bool torus, std::uint64_t seed) {
   for (int round = 0; round < 40; ++round) {
     const FunctionGraph fg = make_graph(w.templates.shape(rng.below(w.templates.size())), rng);
     const QoSVector qos_req = QoSVector::from_metrics(rng.uniform(30.0, 400.0), 0.1);
-    scratch.begin(fg);  // one request: the QoS memo spans its compositions
+    scratch.begin(fg, view, now);  // one request: the link table spans its compositions
     for (int trial = 0; trial < 12; ++trial) {
       const ComponentGraph cg = random_assignment(sys, fg, rng);
       const Reference ref = reference(sys, view, cg, qos_req, now);
@@ -314,13 +319,121 @@ TEST(FusedQualify, ZeroBandwidthEdgeStillFailsOnDegradedLink) {
       graph.assign(1, cg);
       const QoSVector loose = QoSVector::from_metrics(1e6, 0.5);
       CompositionScratch scratch;
-      scratch.begin(fg);
+      scratch.begin(fg, sys.true_state(), 0.0);
       EXPECT_FALSE(graph.qualify(sys, sys.true_state(), loose, PolicyConstraint{}, 0.0, scratch));
       EXPECT_FALSE(graph.resources_feasible(sys, sys.true_state(), 0.0));
       return;
     }
   }
   GTEST_SKIP() << "catalog has no compatible function pair";
+}
+
+// ---- Scratch lifetime ---------------------------------------------------------
+
+/// A composition that qualifies under `view`, with an edge of positive
+/// bandwidth between distinct nodes a → b whose walk the tests load.
+struct Networked {
+  std::unique_ptr<FunctionGraph> fg;
+  std::optional<ComponentGraph> cg;
+  NodeId a = 0;
+  NodeId b = 0;
+};
+
+const QoSVector kLoose = QoSVector::from_metrics(1e6, 0.5);
+
+Networked find_networked(const StreamSystem& sys, const workload::TemplateLibrary& templates,
+                         const StateView& view, double now, util::Rng& rng) {
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    Networked n;
+    n.fg = std::make_unique<FunctionGraph>(
+        make_graph(templates.shape(rng.below(templates.size())), rng));
+    n.cg.emplace(random_assignment(sys, *n.fg, rng));
+    if (!reference(sys, view, *n.cg, kLoose, now).qualified) continue;
+    for (FnEdgeIndex e = 0; e < n.fg->edge_count(); ++e) {
+      const FnEdge& edge = n.fg->edge(e);
+      n.a = sys.component(n.cg->component_at(edge.from)).node;
+      n.b = sys.component(n.cg->component_at(edge.to)).node;
+      if (n.a != n.b && edge.required_bandwidth_kbps > 0.0) return n;
+    }
+  }
+  ADD_FAILURE() << "no qualifying composition with a network edge";
+  return {};
+}
+
+/// begin() → qualify, then the footprint's φ from the same scratch: the
+/// verdict and φ must both match the literal reference.
+void expect_matches_reference(const StreamSystem& sys, const StateView& view,
+                              const ComponentGraph& cg, double now, CompositionScratch& scratch) {
+  const Reference ref = reference(sys, view, cg, kLoose, now);
+  scratch.begin(cg.function_graph(), view, now);
+  const std::optional<double> fused =
+      cg.qualify(sys, view, kLoose, PolicyConstraint{}, now, scratch);
+  ASSERT_EQ(fused.has_value(), ref.qualified) << cg.to_string(sys);
+  if (fused) {
+    EXPECT_EQ(*fused, ref.phi);
+  }
+  EXPECT_EQ(cg.footprint(sys, scratch).phi(), ref.phi);
+}
+
+TEST(ScratchLifetime, BeginForgetsTheAvailabilityOfADrainedLink) {
+  World w = make_world(/*torus=*/true, 14);
+  StreamSystem& sys = *w.sys;
+  const StreamSystem::RequestScopedView view(sys, kRequest);
+  const double now = 1.0;
+  util::Rng rng(15);
+  const Networked n = find_networked(sys, w.templates, view, now, rng);
+  ASSERT_TRUE(n.cg.has_value());
+  CompositionScratch scratch;
+  expect_matches_reference(sys, view, *n.cg, now, scratch);
+
+  // Drain a link on the edge's walk; same scratch, graph, view and instant.
+  BandwidthPool& pool = sys.link_pool(w.mesh->virtual_link_path(n.a, n.b).front());
+  ASSERT_TRUE(pool.commit_direct(3000, pool.available(now), now));
+  ASSERT_FALSE(reference(sys, view, *n.cg, kLoose, now).qualified);
+  expect_matches_reference(sys, view, *n.cg, now, scratch);
+}
+
+TEST(ScratchLifetime, BeginForgetsAvailabilityReadThroughAnotherRequestsView) {
+  World w = make_world(/*torus=*/false, 16);
+  StreamSystem& sys = *w.sys;
+  const StreamSystem::RequestScopedView mine(sys, kRequest);
+  const StreamSystem::RequestScopedView other(sys, kRequest + 1);
+  const double now = 1.0;
+  util::Rng rng(17);
+  const Networked n = find_networked(sys, w.templates, mine, now, rng);
+  ASSERT_TRUE(n.cg.has_value());
+
+  // A transient of kRequest on the walk: invisible to its own view, it
+  // takes the whole link in the other request's.
+  const net::OverlayLinkIndex l = w.mesh->virtual_link_path(n.a, n.b).front();
+  sys.link_pool(l).force_reserve_transient(kRequest, 99, mine.link_available_kbps(l, now), 0.0,
+                                           60.0);
+  ASSERT_NE(reference(sys, mine, *n.cg, kLoose, now).phi,
+            reference(sys, other, *n.cg, kLoose, now).phi);
+
+  CompositionScratch scratch;
+  expect_matches_reference(sys, mine, *n.cg, now, scratch);
+  expect_matches_reference(sys, other, *n.cg, now, scratch);
+  expect_matches_reference(sys, mine, *n.cg, now, scratch);
+}
+
+TEST(ScratchLifetime, QualifyRequiresTheViewAndInstantOfBegin) {
+  World w = make_world(/*torus=*/true, 18);
+  const StreamSystem& sys = *w.sys;
+  const StreamSystem::RequestScopedView view(sys, kRequest);
+  const StreamSystem::RequestScopedView same_request(sys, kRequest);
+  util::Rng rng(19);
+  const Networked n = find_networked(sys, w.templates, view, 1.0, rng);
+  ASSERT_TRUE(n.cg.has_value());
+  CompositionScratch scratch;
+  scratch.begin(*n.fg, view, 1.0);
+  EXPECT_THROW(n.cg->qualify(sys, view, kLoose, PolicyConstraint{}, 2.0, scratch),
+               PreconditionError);
+  EXPECT_THROW(n.cg->qualify(sys, same_request, kLoose, PolicyConstraint{}, 1.0, scratch),
+               PreconditionError);
+  EXPECT_THROW(n.cg->qualify(sys, sys.true_state(), kLoose, PolicyConstraint{}, 1.0, scratch),
+               PreconditionError);
+  EXPECT_TRUE(n.cg->qualify(sys, view, kLoose, PolicyConstraint{}, 1.0, scratch).has_value());
 }
 
 // ---- Hop ranking --------------------------------------------------------------

@@ -2,7 +2,7 @@
 // plans, trace lines, BENCH documents, timelines and attribution files.
 //
 // Each seed input — the tools/acptrace/testdata fixtures plus inline fault
-// plan and timeline samples — is mutated by flipping, inserting and
+// plan, timeline and out-of-range integer samples — is mutated by flipping, inserting and
 // truncating bytes, then fed to the reader that owns its format. A reader
 // may accept a mutant or reject it with PreconditionError; anything else
 // (a crash, a sanitizer report, any other exception) fails the test. The
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -118,13 +119,69 @@ const char* const kTimeline =
     "{\"type\": \"host_sample\", \"run\": 1, \"t\": 30, \"wall_s\": 0.1, "
     "\"peak_rss_bytes\": 1000000}\n";
 
+/// Integer fields a loader once cast from double unchecked: negative,
+/// fractional, past 2^53 or past every integer type. Each line is one
+/// artifact, for the reader paired with it.
+const char* const kBenchOutOfRange[] = {
+    R"({"schema": "acp-bench/2", "jobs": -1})",
+    R"({"schema": "acp-bench/2", "headline": {"runs": 2.5}})",
+    R"({"schema": "acp-bench/2", "headline": {"peak_rss_bytes": 1e300}})",
+    R"({"schema": "acp-bench/2", "scopes": [{"scope": "s", "count": -3}]})",
+    R"({"schema": "acp-bench/2", "counters": {"acp.x": 9007199254740994}})",
+};
+const char* const kTimelineOutOfRange[] = {
+    R"({"schema": "acp-timeline/1", "type": "header", "seed": -1})",
+    "{\"schema\": \"acp-timeline/1\", \"type\": \"header\", \"seed\": 1}\n"
+    "{\"type\": \"run_start\", \"run\": 1e300, \"label\": \"ACP\"}",
+};
+const char* const kAttributionOutOfRange[] = {
+    R"({"schema": "acp-attr/1", "type": "header", "seed": -1})",
+    "{\"schema\": \"acp-attr/1\", \"type\": \"header\", \"seed\": 1}\n"
+    "{\"type\": \"attr\", \"phase\": \"probe\", \"count\": 1e300}",
+    "{\"schema\": \"acp-attr/1\", \"type\": \"header\", \"seed\": 1}\n"
+    "{\"type\": \"attr\", \"phase\": \"probe\", \"node\": -2}",
+    "{\"schema\": \"acp-attr/1\", \"type\": \"header\", \"seed\": 1}\n"
+    "{\"type\": \"attr\", \"phase\": \"probe\", \"fn\": 0.5}",
+};
+
+/// Rejects `input` with a PreconditionError naming `field`.
+void expect_rejected(const std::string& input, void (*reader)(const std::string&),
+                     const std::string& field) {
+  SCOPED_TRACE(input);
+  try {
+    reader(input);
+    ADD_FAILURE() << "accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"" + field + "\""), std::string::npos) << e.what();
+  }
+}
+
+TEST(JsonFuzz, LoadersRejectOutOfRangeIntegers) {
+  const char* const bench_fields[] = {"jobs", "runs", "peak_rss_bytes", "count",
+                                      "counters.acp.x"};
+  for (std::size_t i = 0; i < std::size(kBenchOutOfRange); ++i) {
+    expect_rejected(kBenchOutOfRange[i], read_bench, bench_fields[i]);
+  }
+  expect_rejected(kTimelineOutOfRange[0], read_timeline, "seed");
+  expect_rejected(kTimelineOutOfRange[1], read_timeline, "run");
+  const char* const attr_fields[] = {"seed", "count", "node", "fn"};
+  for (std::size_t i = 0; i < std::size(kAttributionOutOfRange); ++i) {
+    expect_rejected(kAttributionOutOfRange[i], read_attribution, attr_fields[i]);
+  }
+  // In range, including the -1 "no node / no function" of attribution rows.
+  EXPECT_NO_THROW(read_bench(R"({"schema": "acp-bench/2", "jobs": 4, "counters": {"a": 0}})"));
+  EXPECT_NO_THROW(read_attribution(
+      "{\"schema\": \"acp-attr/1\", \"type\": \"header\", \"seed\": 9007199254740992}\n"
+      "{\"type\": \"attr\", \"phase\": \"probe\", \"node\": -1, \"fn\": -1, \"count\": 3}"));
+}
+
 TEST(JsonFuzz, ReadersAcceptOrRejectCleanly) {
   util::Rng rng(kSeed);
   struct Case {
     std::string input;
     void (*reader)(const std::string&);
   };
-  const std::vector<Case> cases = {
+  std::vector<Case> cases = {
       {kFaultPlan, read_fault_plan},
       {kTimeline, read_timeline},
       {kTimeline, read_trace},
@@ -137,6 +194,9 @@ TEST(JsonFuzz, ReadersAcceptOrRejectCleanly) {
       {read_fixture("bench_slow.json"), read_bench},
       {read_fixture("attr_golden.jsonl"), read_attribution},
   };
+  for (const char* text : kBenchOutOfRange) cases.push_back({text, read_bench});
+  for (const char* text : kTimelineOutOfRange) cases.push_back({text, read_timeline});
+  for (const char* text : kAttributionOutOfRange) cases.push_back({text, read_attribution});
   std::size_t rejected = 0;
   for (const Case& c : cases) rejected += fuzz(c.input, c.reader, rng);
   // Mutation must actually reach the error paths.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "net/topology.h"
 
@@ -109,6 +110,55 @@ TEST_F(OverlayFixture, ClosestMemberIsAMemberAndOptimal) {
       EXPECT_LE(chosen, rt.distance(mesh->ip_host(o), client) + 1e-9);
     }
   }
+}
+
+TEST(Overlay, ClosestMemberTableMatchesBruteForceScan) {
+  for (const std::uint64_t seed : {7u, 21u}) {
+    util::Rng rng(seed);
+    TopologyConfig tc;
+    tc.node_count = 500;
+    const Graph ip = generate_power_law_topology(tc, rng);
+    OverlayConfig oc;
+    oc.member_count = 40;
+    const OverlayMesh mesh(ip, oc, rng);
+    std::vector<NodeIndex> hosts;
+    for (OverlayNodeIndex o = 0; o < mesh.node_count(); ++o) hosts.push_back(mesh.ip_host(o));
+    const RoutingTable rt(ip, hosts);
+    for (NodeIndex h = 0; h < ip.node_count(); ++h) {
+      // The scan the table replaces: strict <, so the lowest member wins ties.
+      double best = kUnreachable;
+      OverlayNodeIndex expected = 0;
+      for (OverlayNodeIndex o = 0; o < mesh.node_count(); ++o) {
+        const double d = rt.distance(hosts[o], h);
+        if (d < best) {
+          best = d;
+          expected = o;
+        }
+      }
+      ASSERT_EQ(mesh.closest_member(h), expected) << "seed " << seed << " host " << h;
+    }
+  }
+}
+
+TEST(Overlay, ClosestMemberTiesGoToTheLowestMemberAndUnreachableToMemberZero) {
+  // Hosts 0–5 on a unit-delay line, host 6 cut off. A seed whose two
+  // members sit an even distance apart leaves the midpoint host tied.
+  Graph ip(7);
+  for (NodeIndex h = 0; h + 1 < 6; ++h) ip.add_edge(h, h + 1, 1.0, 1000.0);
+  for (std::uint64_t seed = 1; seed < 1000; ++seed) {
+    util::Rng probe(seed);
+    const auto picks = probe.sample_without_replacement(7, 2);  // ascending
+    if (picks[1] == 6 || (picks[1] - picks[0]) % 2 != 0) continue;
+    OverlayConfig oc;
+    oc.member_count = 2;
+    util::Rng rng(seed);
+    const OverlayMesh mesh(ip, oc, rng);
+    ASSERT_EQ(mesh.ip_host(0), picks[0]);
+    EXPECT_EQ(mesh.closest_member(static_cast<NodeIndex>((picks[0] + picks[1]) / 2)), 0u);
+    EXPECT_EQ(mesh.closest_member(6), 0u);
+    return;
+  }
+  FAIL() << "no seed places the members an even distance apart";
 }
 
 TEST_F(OverlayFixture, ClosestMemberOfMemberHostIsItself) {

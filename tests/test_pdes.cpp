@@ -25,12 +25,16 @@
 #include <vector>
 
 #include "acptrace/acptrace_lib.h"
+#include "core/probing.h"
+#include "core/probing_sharded.h"
 #include "exp/experiment.h"
 #include "exp/system_builder.h"
 #include "net/overlay.h"
 #include "obs/bench_report.h"
 #include "obs/observability.h"
 #include "sim/sharded_engine.h"
+#include "state/global_state.h"
+#include "stream/session.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -461,6 +465,133 @@ TEST(ShardedEngineProperty, LookaheadIsMinVirtualLinkDelay) {
     true_min = std::min(true_min, mesh.link(l).delay_ms);
   }
   EXPECT_DOUBLE_EQ(lookahead, true_min);
+}
+
+// ---- Barrier re-qualification ----------------------------------------------------
+
+/// Two requests whose probe cascades share one shard window on a 3×3 torus.
+/// f0 has one component on node 0; f1 has one on node 1 (room for either
+/// request, not both) and one on node 3 (room for the small request only,
+/// and a worse φ). Both cascades admit node 1 against the frozen view, so
+/// the small request (id 1) ranks node 1 first. At the barrier its commit
+/// comes first, but the large request's transient on node 1 — applied
+/// earlier in the same window — leaves too little: the re-qualification
+/// must reject node 1 and fall back to node 3, and the large request then
+/// takes node 1. A re-qualification that saw the availabilities the worker
+/// read from the frozen view would commit the small request on node 1 and
+/// fail the large one. The small request's deputy is node 0; the large
+/// one's is a neighbour of node 0 owned by the other of two shards, so at
+/// two shards each instance's table was last begun on the very request its
+/// barrier op re-qualifies.
+struct SameWindowPair {
+  stream::NodeId small_f1 = 0;
+  stream::NodeId large_f1 = 0;
+  std::size_t small_qualified = 0;
+  std::size_t large_qualified = 0;
+  double small_phi = 0.0;
+};
+
+SameWindowPair run_same_window_pair(std::size_t shards) {
+  using stream::NodeId;
+  using stream::QoSVector;
+  using stream::ResourceVector;
+  constexpr NodeId kSource = 0, kRoomy = 1, kTight = 3;
+  const net::OverlayMesh mesh = net::OverlayMesh::torus(3, 3, 2.0, 1e5);
+  util::Rng crng(3);
+  stream::StreamSystem sys(mesh, stream::FunctionCatalog::generate(6, crng));
+  const auto chain = acp::testing::compatible_chain(sys.catalog(), 2);
+  for (NodeId n = 0; n < sys.node_count(); ++n) {
+    sys.set_node_capacity(n, ResourceVector(n == kRoomy ? 100.0 : n == kTight ? 60.0 : 1000.0,
+                                            1000.0));
+  }
+  sys.add_component(chain[0], kSource, QoSVector::from_metrics(1.0, 0.0));
+  sys.add_component(chain[1], kRoomy, QoSVector::from_metrics(1.0, 0.0));
+  sys.add_component(chain[1], kTight, QoSVector::from_metrics(1.0, 0.0));
+  stream::SessionTable sessions(sys);
+
+  // A neighbour of node 0 on the other shard of a two-shard plan.
+  const sim::ShardPlan two(2);
+  NodeId large_deputy = kSource;
+  for (const NodeId n : {NodeId{2}, NodeId{6}, NodeId{1}, NodeId{3}}) {
+    if (large_deputy == kSource && two.owner(n) != two.owner(kSource)) large_deputy = n;
+  }
+  EXPECT_NE(large_deputy, kSource);
+
+  std::vector<workload::Request> requests(2);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    workload::Request& req = requests[i];
+    req.id = static_cast<stream::RequestId>(i + 1);
+    req.graph.add_node(chain[0], ResourceVector(1.0, 1.0));
+    // Request 1 fits on either f1 node, request 2 only on kRoomy.
+    req.graph.add_node(chain[1], ResourceVector(i == 0 ? 55.0 : 65.0, 1.0));
+    req.graph.add_edge(0, 1, 10.0);
+    req.qos_req = QoSVector::from_metrics(1000.0, 0.5);
+    req.duration_s = 1e6;
+    req.client_ip = i == 0 ? kSource : large_deputy;
+  }
+
+  sim::ShardedEngine::Config scfg;
+  scfg.shards = shards;
+  scfg.window_s = 1.0;
+  sim::ShardedEngine engine(scfg);
+  obs::MetricsRegistry metrics;
+  state::GlobalStateManager global(sys, engine.global(), metrics);
+  global.start();
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> lane_metrics;
+  std::vector<std::unique_ptr<discovery::Registry>> registries;
+  std::vector<std::unique_ptr<stream::StateView>> views;
+  std::vector<std::unique_ptr<core::ProbingProtocol>> protocols;
+  std::vector<core::ProbingProtocol*> instances;
+  for (std::size_t i = 0; i < shards; ++i) {
+    lane_metrics.push_back(std::make_unique<obs::MetricsRegistry>());
+    registries.push_back(std::make_unique<discovery::Registry>(sys, *lane_metrics.back()));
+    views.push_back(global.make_shard_view(nullptr));
+    protocols.push_back(std::make_unique<core::ProbingProtocol>(
+        sys, sessions, engine.global(), *lane_metrics.back(), *registries.back(), *views.back(),
+        util::Rng(7), core::ProbingConfig{}));
+    protocols.back()->set_shard_host(&engine);
+    instances.push_back(protocols.back().get());
+  }
+  core::ShardedProbing router(engine.plan(), instances);
+  std::vector<core::CompositionOutcome> outcomes(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    engine.global().schedule_after(0.0, [&, i] {
+      router.execute(requests[i], 1.0, core::PerHopPolicy::kGuided,
+                     core::SelectionPolicy::kBestPhi,
+                     [&outcomes, i](const core::CompositionOutcome& out) { outcomes[i] = out; });
+    });
+  }
+  engine.run_until(5.0);
+
+  SameWindowPair r;
+  const auto f1_node = [&](const core::CompositionOutcome& out) {
+    EXPECT_TRUE(out.success());
+    const stream::SessionRecord* rec = sessions.find(out.session);
+    return rec == nullptr ? NodeId{0} : sys.component(rec->components.at(1)).node;
+  };
+  r.small_f1 = f1_node(outcomes[0]);
+  r.large_f1 = f1_node(outcomes[1]);
+  r.small_qualified = outcomes[0].candidates_qualified;
+  r.large_qualified = outcomes[1].candidates_qualified;
+  r.small_phi = outcomes[0].phi;
+  return r;
+}
+
+TEST(ShardedBarrier, SameWindowClaimMakesRequalificationFallBack) {
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    const SameWindowPair r = run_same_window_pair(shards);
+    // Against the frozen view both f1 placements qualified for request 1.
+    EXPECT_EQ(r.small_qualified, 2u);
+    EXPECT_EQ(r.large_qualified, 1u);
+    EXPECT_EQ(r.small_f1, 3u);
+    EXPECT_EQ(r.large_f1, 1u);
+    // Request 1's φ is the live one of its fallback, which also counts
+    // request 2's transient on node 0: f0 takes 1 of 999 free per
+    // dimension there, f1 55 of 60 CPU and 1 of 1000 MB on node 3, the
+    // edge 10 of 1e5 kbps. The frozen view had 1000 free on node 0.
+    EXPECT_NEAR(r.small_phi, 2.0 / 999.0 + 55.0 / 60.0 + 1.0 / 1000.0 + 10.0 / 1e5, 1e-12);
+  }
 }
 
 // ---- TSan stress -------------------------------------------------------------

@@ -13,6 +13,26 @@
 
 namespace acp::tracecli {
 
+namespace {
+
+/// An integer field of an artifact: a whole number in [lo, 2^53], so the
+/// cast to an integer type is exact and defined. Anything else — below
+/// `lo`, fractional, huge or not finite — is a PreconditionError naming
+/// the field.
+std::int64_t as_whole(double v, std::int64_t lo, const std::string& field) {
+  if (!(v >= static_cast<double>(lo) && v <= 9007199254740992.0) || v != std::floor(v)) {
+    throw PreconditionError("\"" + field + "\" must be a whole number >= " + std::to_string(lo));
+  }
+  return static_cast<std::int64_t>(v);
+}
+
+/// A non-negative integer field (a count, id or size).
+std::uint64_t as_count(double v, const std::string& field) {
+  return static_cast<std::uint64_t>(as_whole(v, 0, field));
+}
+
+}  // namespace
+
 // ---- Trace loading -------------------------------------------------------------
 
 TraceData load_trace(std::istream& in) {
@@ -382,19 +402,19 @@ BenchDoc decode_bench(const JsonValue& doc) {
   b.git_sha = doc.str_or("git_sha", "");
   b.host = doc.str_or("host", "");  // absent in v1 → empty → host gates skip
   b.wall_s = doc.num_or("wall_s", 0.0);
-  b.jobs = static_cast<std::uint64_t>(doc.num_or("jobs", 1.0));
+  b.jobs = as_count(doc.num_or("jobs", 1.0), "jobs");
   if (const JsonValue* h = doc.find("headline")) {
-    b.runs = static_cast<std::uint64_t>(h->num_or("runs", 0.0));
+    b.runs = as_count(h->num_or("runs", 0.0), "runs");
     b.success_rate = h->num_or("success_rate", 0.0);
     b.overhead_per_minute = h->num_or("overhead_per_minute", 0.0);
     b.mean_phi = h->num_or("mean_phi", 0.0);
     b.events_per_sec = h->num_or("events_per_sec", 0.0);
-    b.peak_rss_bytes = static_cast<std::uint64_t>(h->num_or("peak_rss_bytes", 0.0));
+    b.peak_rss_bytes = as_count(h->num_or("peak_rss_bytes", 0.0), "peak_rss_bytes");
   }
   if (const JsonValue* scopes = doc.find("scopes")) {
     for (const JsonValue& s : scopes->array) {
       BenchDoc::Scope sc;
-      sc.count = static_cast<std::uint64_t>(s.num_or("count", 0.0));
+      sc.count = as_count(s.num_or("count", 0.0), "count");
       sc.total_s = s.num_or("total_s", 0.0);
       sc.mean_s = s.num_or("mean_s", 0.0);
       sc.p99_s = s.num_or("p99_s", 0.0);
@@ -403,7 +423,7 @@ BenchDoc decode_bench(const JsonValue& doc) {
   }
   if (const JsonValue* counters = doc.find("counters")) {
     for (const auto& [key, value] : counters->object) {
-      b.counters[key] = static_cast<std::uint64_t>(value.number);
+      b.counters[key] = as_count(value.number, "counters." + key);
     }
   }
   return b;
@@ -596,40 +616,40 @@ TimelineData load_timeline(std::istream& in) {
       data.schema = ev.str("schema");
       data.bench = ev.str("bench");
       data.git_sha = ev.str("git_sha");
-      data.seed = static_cast<std::uint64_t>(ev.num("seed"));
+      data.seed = as_count(ev.num("seed"), "seed");
       data.quick = ev.num("quick") != 0.0;
       saw_header = true;
       continue;
     }
     if (type == "run_start") {
-      data.run_labels[static_cast<std::uint64_t>(ev.num("run"))] = ev.str("label");
+      data.run_labels[as_count(ev.num("run"), "run")] = ev.str("label");
       data.sim_lines.push_back(line);
       continue;
     }
     if (type == "sample") {
       TimelineSampleRow r;
-      r.run = static_cast<std::uint64_t>(ev.num("run"));
+      r.run = as_count(ev.num("run"), "run");
       r.t = ev.num("t");
-      r.events = static_cast<std::uint64_t>(ev.num("events"));
+      r.events = as_count(ev.num("events"), "events");
       r.events_per_s = ev.num("events_per_s");
-      r.queue_depth = static_cast<std::uint64_t>(ev.num("queue_depth"));
-      r.live_probes = static_cast<std::uint64_t>(ev.num("live_probes"));
-      r.active_sessions = static_cast<std::uint64_t>(ev.num("active_sessions"));
-      r.requests = static_cast<std::uint64_t>(ev.num("requests"));
-      r.successes = static_cast<std::uint64_t>(ev.num("successes"));
+      r.queue_depth = as_count(ev.num("queue_depth"), "queue_depth");
+      r.live_probes = as_count(ev.num("live_probes"), "live_probes");
+      r.active_sessions = as_count(ev.num("active_sessions"), "active_sessions");
+      r.requests = as_count(ev.num("requests"), "requests");
+      r.successes = as_count(ev.num("successes"), "successes");
       r.success_rate = ev.num("success_rate");
       r.mean_phi = ev.num("mean_phi");
-      r.allocs = static_cast<std::uint64_t>(ev.num("allocs"));
+      r.allocs = as_count(ev.num("allocs"), "allocs");
       data.samples.push_back(r);
       data.sim_lines.push_back(line);
       continue;
     }
     if (type == "host_sample") {
       TimelineHostRow h;
-      h.run = static_cast<std::uint64_t>(ev.num("run"));
+      h.run = as_count(ev.num("run"), "run");
       h.t = ev.num("t");
       h.wall_s = ev.num("wall_s");
-      h.peak_rss_bytes = static_cast<std::uint64_t>(ev.num("peak_rss_bytes"));
+      h.peak_rss_bytes = as_count(ev.num("peak_rss_bytes"), "peak_rss_bytes");
       data.host_samples.push_back(h);
       continue;
     }
@@ -1182,7 +1202,7 @@ AttrDoc load_attribution(std::istream& in) {
       d.schema = schema;
       d.bench = v.str_or("bench", "");
       d.git_sha = v.str_or("git_sha", "");
-      d.seed = static_cast<std::uint64_t>(v.num_or("seed", 0.0));
+      d.seed = as_count(v.num_or("seed", 0.0), "seed");
       const JsonValue* quick = v.find("quick");
       d.quick = quick != nullptr && quick->boolean;
       saw_header = true;
@@ -1191,26 +1211,26 @@ AttrDoc load_attribution(std::istream& in) {
     if (type == "attr") {
       AttrDoc::Row r;
       r.phase = v.str_or("phase", "?");
-      r.node = static_cast<std::int64_t>(v.num_or("node", -1.0));
-      r.fn = static_cast<std::int64_t>(v.num_or("fn", -1.0));
-      r.count = static_cast<std::uint64_t>(v.num_or("count", 0.0));
+      r.node = as_whole(v.num_or("node", -1.0), -1, "node");
+      r.fn = as_whole(v.num_or("fn", -1.0), -1, "fn");
+      r.count = as_count(v.num_or("count", 0.0), "count");
       r.sim_s = v.num_or("sim_s", 0.0);
       d.rows.push_back(std::move(r));
     } else if (type == "attr_wait") {
       AttrDoc::Wait w;
       w.kind = v.str_or("kind", "?");
-      w.count = static_cast<std::uint64_t>(v.num_or("count", 0.0));
+      w.count = as_count(v.num_or("count", 0.0), "count");
       w.sim_s = v.num_or("sim_s", 0.0);
       d.waits.push_back(std::move(w));
     } else if (type == "attr_host") {
       AttrDoc::Host h;
       h.phase = v.str_or("phase", "?");
-      h.node = static_cast<std::int64_t>(v.num_or("node", -1.0));
-      h.count = static_cast<std::uint64_t>(v.num_or("count", 0.0));
+      h.node = as_whole(v.num_or("node", -1.0), -1, "node");
+      h.count = as_count(v.num_or("count", 0.0), "count");
       h.wall_s = v.num_or("wall_s", 0.0);
       d.host.push_back(std::move(h));
     } else if (type == "attr_total") {
-      d.total_count = static_cast<std::uint64_t>(v.num_or("count", 0.0));
+      d.total_count = as_count(v.num_or("count", 0.0), "count");
       d.total_sim_s = v.num_or("sim_s", 0.0);
     }
     // Unknown row types within the schema are skipped (forward compat).
