@@ -113,8 +113,10 @@ void BM_PhiEvaluation(benchmark::State& state) {
     state.SkipWithError("no feasible composition in fixture");
     return;
   }
+  stream::CompositionScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(best->congestion_aggregation(sys, sys.true_state(), 0.0));
+    scratch.begin(w.request.graph, sys.true_state(), 0.0);
+    benchmark::DoNotOptimize(best->footprint(sys, scratch).phi());
   }
 }
 BENCHMARK(BM_PhiEvaluation);

@@ -5,25 +5,16 @@
 
 namespace acp::core {
 
-namespace {
-
-/// QoS of the virtual link from the hop's current node to the candidate's
-/// node (zero when there is no upstream component yet).
-stream::QoSVector upstream_link_qos(const HopContext& ctx, const stream::StateView& view,
-                                    const stream::Component& cand) {
-  if (!ctx.has_upstream) return {};
-  return view.virtual_link_qos(ctx.sys->mesh(), ctx.current_node, cand.node, ctx.now);
-}
-
-}  // namespace
-
-double risk_function(const HopContext& ctx, const stream::StateView& view,
-                     stream::ComponentId candidate) {
+stream::QoSVector candidate_qos(const HopContext& ctx, stream::ComponentId candidate) {
   const stream::Component& cand = ctx.sys->component(candidate);
   stream::QoSVector total = ctx.accumulated;
-  total += view.component_qos(candidate, ctx.now);
-  total += upstream_link_qos(ctx, view, cand);
-  return total.max_ratio(ctx.req->qos_req);
+  total += cand.qos;
+  if (ctx.has_upstream) total += ctx.sys->virtual_link_qos(ctx.current_node, cand.node);
+  return total;
+}
+
+double risk_function(const HopContext& ctx, stream::ComponentId candidate) {
+  return candidate_qos(ctx, candidate).max_ratio(ctx.req->qos_req);
 }
 
 double congestion_function(const HopContext& ctx, const stream::StateView& view,
@@ -61,8 +52,9 @@ std::vector<stream::ComponentId> select_best(const HopContext& ctx, const stream
   std::vector<ScoredCandidate> scored;
   scored.reserve(qualified.size());
   for (stream::ComponentId c : qualified) {
-    scored.push_back(
-        ScoredCandidate{c, risk_function(ctx, view, c), congestion_function(ctx, view, c)});
+    const stream::QoSVector qos = candidate_qos(ctx, c);
+    scored.push_back(ScoredCandidate{c, qos.max_ratio(ctx.req->qos_req),
+                                     congestion_function(ctx, view, c), qos});
   }
   select_best_into(scored, m, risk_eps, policy);
   for (std::size_t i = 0; i < m; ++i) qualified[i] = scored[i].id;

@@ -49,10 +49,15 @@ struct HopContext {
   double now = 0.0;
 };
 
+/// QoS accumulated through `candidate`: ctx.accumulated, plus the
+/// candidate's QoS, plus (with an upstream component) the QoS of the
+/// virtual link to it, summed from zero in walk order. Added in that order,
+/// so the sum is bit-identical to ScoredCandidate::qos.
+stream::QoSVector candidate_qos(const HopContext& ctx, stream::ComponentId candidate);
+
 /// Eq. 9 — risk: max over QoS dims of (accumulated + candidate + link) /
 /// requirement. Lower is better; > 1 means the bound is already blown.
-double risk_function(const HopContext& ctx, const stream::StateView& view,
-                     stream::ComponentId candidate);
+double risk_function(const HopContext& ctx, stream::ComponentId candidate);
 
 /// Eq. 10 — congestion: Σ_k r_k/(rr_k + r_k) + b/(rb + b) for the candidate
 /// placement, on `view`'s (possibly coarse) availability. Lower is better.
@@ -76,8 +81,9 @@ struct HopFilterStats {
 /// A qualified candidate with its (D, W) scores.
 struct ScoredCandidate {
   stream::ComponentId id;
-  double risk;        ///< D(c), Eq. 9
-  double congestion;  ///< W(c), Eq. 10
+  double risk;            ///< D(c), Eq. 9
+  double congestion;      ///< W(c), Eq. 10
+  stream::QoSVector qos;  ///< candidate_qos: the prefix's QoS extended through c
 };
 
 /// Filters `candidates` by the paper's per-hop qualification (rate
@@ -92,8 +98,9 @@ std::vector<stream::ComponentId> filter_qualified(const HopContext& ctx,
 /// The fused per-hop pass behind filter_qualified: appends each qualified
 /// candidate to `out` (any push_back container of ScoredCandidate, e.g.
 /// util::ArenaVector) in input order, scored from the same single walk of
-/// its virtual link — the walk's QoS total gives D(c) and its bottleneck
-/// gives W(c), bit-identical to risk_function / congestion_function.
+/// its virtual link — the walk's QoS total gives the candidate's qos and
+/// D(c), its bottleneck gives W(c), bit-identical to candidate_qos /
+/// risk_function / congestion_function.
 template <typename ScoredVec>
 void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
                            const std::vector<stream::ComponentId>& candidates, ScoredVec& out,
@@ -167,17 +174,17 @@ void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
     }
 
     // One walk of the virtual link to the candidate yields both its QoS
-    // (summed in path order, as StateView::virtual_link_qos does) and, when
+    // (summed in path order, as StreamSystem::virtual_link_qos does) and, when
     // the edge carries bandwidth, its bottleneck availability (as
     // StateView::virtual_link_available_kbps does). Co-location walks
     // nothing: zero QoS, no bandwidth check.
-    stream::QoSVector link_qos;
+    stream::QoSVector walk_qos;
     double bottleneck = std::numeric_limits<double>::infinity();
     const bool checks_bandwidth =
         ctx.has_upstream && ctx.current_node != cand.node && ctx.edge_bw_kbps > 0.0;
     if (ctx.has_upstream && ctx.current_node != cand.node) {
       mesh.for_each_virtual_link(ctx.current_node, cand.node, [&](net::OverlayLinkIndex l) {
-        link_qos += view.link_qos(l, ctx.now);
+        walk_qos += ctx.sys->link_qos(l);
         if (checks_bandwidth) {
           bottleneck = std::min(bottleneck, view.link_available_kbps(l, ctx.now));
         }
@@ -186,8 +193,8 @@ void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
 
     // Eq. 6: QoS accumulation must stay within the requirement.
     stream::QoSVector total = ctx.accumulated;
-    total += view.component_qos(c, ctx.now);
-    if (ctx.has_upstream) total += link_qos;
+    total += cand.qos;
+    if (ctx.has_upstream) total += walk_qos;
     if (!total.satisfies(ctx.req->qos_req)) {
       ++local.qos_bound;
       continue;
@@ -212,7 +219,7 @@ void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
     if (checks_bandwidth) {
       congestion += stream::congestion_term(ctx.edge_bw_kbps, bottleneck - ctx.edge_bw_kbps);
     }
-    out.push_back(ScoredCandidate{c, total.max_ratio(ctx.req->qos_req), congestion});
+    out.push_back(ScoredCandidate{c, total.max_ratio(ctx.req->qos_req), congestion, total});
   }
   if (stats != nullptr) *stats = local;
 }

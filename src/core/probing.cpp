@@ -4,6 +4,8 @@
 #include <optional>
 #include <utility>
 
+#include "util/flat_map.h"
+
 namespace acp::core {
 
 using stream::ComponentId;
@@ -72,13 +74,24 @@ struct ProbingProtocol::Coordinator {
     std::uint32_t tag;
     stream::ResourceVector amount;
   };
+  static constexpr std::uint32_t kNoClaim = ~std::uint32_t{0};
   struct LinkClaim {
     net::OverlayLinkIndex link;
     std::uint32_t tag;
     double kbps;
+    /// Sharded mode: the next claim on the same link, in claim order.
+    std::uint32_t next = kNoClaim;
+  };
+  /// Sharded mode: one link's claims as a chain through link_claims.
+  struct ClaimChain {
+    std::uint32_t head;
+    std::uint32_t tail;
   };
   util::SmallVec<NodeClaim, 16> node_claims;
   util::SmallVec<LinkClaim, 32> link_claims;
+  /// Sharded mode: per overlay link, the chain of its claims, so admission
+  /// reads only the claims on the links it walks.
+  util::FlatMap<net::OverlayLinkIndex, ClaimChain> link_chains;
 };
 
 ProbingProtocol::ProbingProtocol(stream::StreamSystem& sys, stream::SessionTable& sessions,
@@ -180,26 +193,30 @@ bool ProbingProtocol::admit_link(Coordinator& coord, std::uint32_t tag, NodeId a
   const stream::RequestId rid = coord.req->id;
   if (a == b) return true;  // co-located: no bandwidth consumed
   if (shard_ == nullptr) {
-    if (!sys_->reserve_virtual_link_transient(rid, tag, a, b, kbps, now, expires_at)) {
+    stream::VirtualLinkWalk reserved;
+    if (!sys_->reserve_virtual_link_transient(rid, tag, a, b, kbps, now, expires_at, &reserved)) {
       return false;
     }
-    sys_->mesh().for_each_virtual_link(
-        a, b, [&](net::OverlayLinkIndex l) { coord.link_claims.push_back({l, tag, kbps}); });
+    for (const net::OverlayLinkIndex l : reserved) coord.link_claims.push_back({l, tag, kbps});
     return true;
   }
   // All-or-nothing across the virtual link's overlay links, like the serial
   // reserve: admit every link against the frozen view (minus this request's
-  // own other-tag claims) before recording anything.
+  // own other-tag claims, in claim order) before recording anything.
+  using Chain = Coordinator::ClaimChain;
+  const auto& claims = coord.link_claims;
   bool ok = true;
-  util::SmallVec<net::OverlayLinkIndex, 16> fresh;
+  stream::VirtualLinkWalk fresh;
   sys_->mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
     if (!ok) return;
-    for (const auto& rec : coord.link_claims) {
-      if (rec.link == l && rec.tag == tag) return;  // already claimed: refresh
+    const Chain* chain = coord.link_chains.find(l);
+    const std::uint32_t head = chain != nullptr ? chain->head : Coordinator::kNoClaim;
+    for (std::uint32_t i = head; i != Coordinator::kNoClaim; i = claims[i].next) {
+      if (claims[i].tag == tag) return;  // already claimed: refresh
     }
     double avail = sys_->link_pool(l).available_excluding(now, rid);
-    for (const auto& rec : coord.link_claims) {
-      if (rec.link == l && rec.tag != tag) avail -= rec.kbps;
+    for (std::uint32_t i = head; i != Coordinator::kNoClaim; i = claims[i].next) {
+      avail -= claims[i].kbps;
     }
     if (!stream::pool_fits(kbps, avail)) {
       ok = false;
@@ -208,7 +225,16 @@ bool ProbingProtocol::admit_link(Coordinator& coord, std::uint32_t tag, NodeId a
     fresh.push_back(l);
   });
   if (!ok) return false;
-  for (const net::OverlayLinkIndex l : fresh) coord.link_claims.push_back({l, tag, kbps});
+  for (const net::OverlayLinkIndex l : fresh) {
+    const auto at = static_cast<std::uint32_t>(coord.link_claims.size());
+    coord.link_claims.push_back({l, tag, kbps});
+    if (Chain* chain = coord.link_chains.find(l)) {
+      coord.link_claims[chain->tail].next = at;
+      chain->tail = at;
+    } else {
+      coord.link_chains.insert_or_assign(l, Chain{at, at});
+    }
+  }
   stream::StreamSystem* sys = sys_;
   shard_->push_op([sys, rid, tag, a, b, kbps, now, expires_at] {
     sys->force_reserve_virtual_link_transient(rid, tag, a, b, kbps, now, expires_at);
@@ -410,7 +436,6 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
       probe_ended(coord);
       return;
     }
-    const auto& true_view = sys_->true_state();
 
     // QoS conformance (accumulated includes this component already).
     if (!probe.accumulated.satisfies(req.qos_req)) {
@@ -439,7 +464,6 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
         return;
       }
     }
-    (void)true_view;
   }
 
   // --- Path complete: return to the deputy.
@@ -473,7 +497,10 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
   // previous hop's lists wholesale, so the steady-state hop is allocation
   // free. Nothing below escapes this call (children copy what they keep).
   scratch_.reset();
-  util::ArenaVector<ComponentId> selected(scratch_);
+  // Each selected candidate carries the prefix's QoS extended through it
+  // (component + virtual link), so a child inherits it without walking the
+  // link again.
+  util::ArenaVector<ScoredCandidate> selected(scratch_);
   HopFilterStats filter_stats;
   std::size_t rank_cutoff = 0;
   {
@@ -482,24 +509,24 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
     if (coord->hop_policy == PerHopPolicy::kGuided) {
       // Filter + rank on the coarse global state (possibly stale — that is
       // the point: precise state comes from the probes themselves).
-      util::ArenaVector<ScoredCandidate> scored(scratch_);
-      filter_qualified_into(ctx, *global_view_, candidates, scored, &filter_stats);
-      const std::size_t n_qualified = scored.size();
-      select_best_into(scored, m, config_.risk_eps, config_.ranking);
-      rank_cutoff = n_qualified - scored.size();
-      for (const ScoredCandidate& s : scored) selected.push_back(s.id);
+      filter_qualified_into(ctx, *global_view_, candidates, selected, &filter_stats);
+      const std::size_t n_qualified = selected.size();
+      select_best_into(selected, m, config_.risk_eps, config_.ranking);
+      rank_cutoff = n_qualified - selected.size();
     } else {
-      // RP: random selection among discovered, rate-compatible candidates.
+      // RP: random selection among discovered, rate-compatible candidates;
+      // only the kept ones have their QoS summed.
       for (ComponentId c : candidates) {
         if (!ctx.has_upstream ||
             sys_->catalog().compatible(ctx.current_function, sys_->component(c).function)) {
-          selected.push_back(c);
+          selected.push_back(ScoredCandidate{c, 0.0, 0.0, {}});
         }
       }
       filter_stats.rate_incompatible = candidates.size() - selected.size();
       const std::size_t n_compatible = selected.size();
       select_random_into(selected, m, shard_ != nullptr ? coord->rng : rng_);
       rank_cutoff = n_compatible - selected.size();
+      for (ScoredCandidate& s : selected) s.qos = candidate_qos(ctx, s.id);
     }
   }
   if (attr_ != nullptr) {
@@ -513,16 +540,13 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
   // Spawn suppression beyond the per-request budget keeps the best-ranked
   // prefix (`selected` is already ranked for kGuided).
   std::size_t spawned = 0;
-  for (ComponentId c : selected) {
+  for (const ScoredCandidate& s : selected) {
     if (coord->spawned_per_path[probe.path_index] >= coord->path_budget) break;
+    const ComponentId c = s.id;
     const stream::Component& cand = sys_->component(c);
     Probe child = probe;
     child.components.push_back(c);
-    child.accumulated += sys_->true_state().component_qos(c, now);
-    if (ctx.has_upstream) {
-      child.accumulated +=
-          sys_->true_state().virtual_link_qos(sys_->mesh(), probe.at, cand.node, now);
-    }
+    child.accumulated = s.qos;
     child.at = cand.node;
     child.id = new_probe_id(*coord);
     child.parent = probe.id;

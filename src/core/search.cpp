@@ -60,14 +60,9 @@ std::vector<PathAssignment> walk_path(const StreamSystem& sys, const workload::R
       }
 
       for (const ScoredCandidate& s : scored) {
-        const ComponentId c = s.id;
         PathAssignment ext = prefix;
-        ext.components.push_back(c);
-        ext.accumulated += view.component_qos(c, now);
-        if (ctx.has_upstream) {
-          ext.accumulated += view.virtual_link_qos(sys.mesh(), ctx.current_node,
-                                                   sys.component(c).node, now);
-        }
+        ext.components.push_back(s.id);
+        ext.accumulated = s.qos;
         next.push_back(std::move(ext));
         if (cfg.beam_cap > 0 && next.size() >= cfg.beam_cap) break;
       }

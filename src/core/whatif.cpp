@@ -16,14 +16,6 @@ double WhatIfView::link_available_kbps(net::OverlayLinkIndex l, double now) cons
   return avail;
 }
 
-stream::QoSVector WhatIfView::component_qos(stream::ComponentId c, double now) const {
-  return base_->component_qos(c, now);
-}
-
-stream::QoSVector WhatIfView::link_qos(net::OverlayLinkIndex l, double now) const {
-  return base_->link_qos(l, now);
-}
-
 void WhatIfView::take_node(stream::NodeId node, const stream::ResourceVector& amount) {
   node_taken_[node] += amount;
 }

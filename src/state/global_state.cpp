@@ -22,17 +22,6 @@ class GlobalStateManager::CoarseView final : public stream::StateView {
     return m_.links_.published(l);
   }
 
-  stream::QoSVector component_qos(stream::ComponentId c, double /*now*/) const override {
-    // Component QoS profiles are static in the simulated system, so the
-    // coarse copy is exact; the update path still exists for resources.
-    return m_.sys_->component(c).qos;
-  }
-
-  stream::QoSVector link_qos(net::OverlayLinkIndex l, double /*now*/) const override {
-    const auto& link = m_.sys_->mesh().link(l);
-    return stream::QoSVector::from_additive(link.delay_ms, link.additive_loss);
-  }
-
  private:
   /// Feeds one coarse read's staleness into the histogram (and the gauge,
   /// when this view carries it). Both handles are resolved on the first

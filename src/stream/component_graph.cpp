@@ -170,7 +170,7 @@ const CompositionScratch::VirtualLink& CompositionScratch::virtual_link(const St
   // Co-located endpoints have an empty walk and zero QoS (footnote 4).
   if (a != b) {
     sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-      v.qos += view_->link_qos(l, now_);
+      v.qos += sys.link_qos(l);
       const std::uint32_t* found = link_slot_index_.find(l);
       const auto slot = found != nullptr ? *found : static_cast<std::uint32_t>(link_slots_.size());
       if (found == nullptr) {
@@ -196,27 +196,24 @@ std::uint32_t CompositionScratch::node_slot(NodeId node) {
 
 // ---- ComponentGraph evaluation ----------------------------------------------
 
-QoSVector ComponentGraph::path_qos(const StreamSystem& sys, const StateView& view,
-                                   const std::vector<FnNodeIndex>& path, double now,
+QoSVector ComponentGraph::path_qos(const StreamSystem& sys, const std::vector<FnNodeIndex>& path,
                                    CompositionScratch* table) const {
   QoSVector q;
   for (std::size_t i = 0; i < path.size(); ++i) {
-    const ComponentId c = component_at(path[i]);
-    q += view.component_qos(c, now);
+    const Component& c = sys.component(component_at(path[i]));
+    q += c.qos;
     if (i + 1 < path.size()) {
-      const NodeId a = sys.component(c).node;
+      const NodeId a = c.node;
       const NodeId b = sys.component(component_at(path[i + 1])).node;
-      q += table != nullptr ? table->virtual_link(sys, a, b).qos
-                            : view.virtual_link_qos(sys.mesh(), a, b, now);
+      q += table != nullptr ? table->virtual_link(sys, a, b).qos : sys.virtual_link_qos(a, b);
     }
   }
   return q;
 }
 
-bool ComponentGraph::satisfies_qos(const StreamSystem& sys, const StateView& view,
-                                   const QoSVector& req, double now) const {
+bool ComponentGraph::satisfies_qos(const StreamSystem& sys, const QoSVector& req) const {
   for (const auto& path : fg_->enumerate_paths()) {
-    if (!path_qos(sys, view, path, now).satisfies(req)) return false;
+    if (!path_qos(sys, path).satisfies(req)) return false;
   }
   return true;
 }
@@ -226,20 +223,6 @@ const Footprint& ComponentGraph::footprint(const StreamSystem& sys,
   ACP_REQUIRE_MSG(fully_assigned(), "function node not assigned");
   ACP_REQUIRE_MSG(scratch.fg_ == fg_, "scratch begun on another function graph");
   return scratch.footprint(sys, assignment_.data());
-}
-
-bool ComponentGraph::resources_feasible(const StreamSystem& sys, const StateView& view,
-                                        double now) const {
-  CompositionScratch scratch;
-  scratch.begin(*fg_, view, now);
-  return footprint(sys, scratch).feasible();
-}
-
-double ComponentGraph::congestion_aggregation(const StreamSystem& sys, const StateView& view,
-                                              double now) const {
-  CompositionScratch scratch;
-  scratch.begin(*fg_, view, now);
-  return footprint(sys, scratch).phi();
 }
 
 bool ComponentGraph::satisfies_policy(const StreamSystem& sys,
@@ -263,19 +246,6 @@ bool ComponentGraph::interfaces_compatible(const StreamSystem& sys) const {
   return true;
 }
 
-bool ComponentGraph::qualified(const StreamSystem& sys, const StateView& view,
-                               const QoSVector& qos_req, double now) const {
-  return qualified(sys, view, qos_req, PolicyConstraint{}, now);
-}
-
-bool ComponentGraph::qualified(const StreamSystem& sys, const StateView& view,
-                               const QoSVector& qos_req, const PolicyConstraint& policy,
-                               double now) const {
-  CompositionScratch scratch;
-  scratch.begin(*fg_, view, now);
-  return qualify(sys, view, qos_req, policy, now, scratch).has_value();
-}
-
 std::optional<double> ComponentGraph::qualify(const StreamSystem& sys, const StateView& view,
                                               const QoSVector& qos_req,
                                               const PolicyConstraint& policy, double now,
@@ -288,7 +258,7 @@ std::optional<double> ComponentGraph::qualify(const StreamSystem& sys, const Sta
     return std::nullopt;
   }
   for (const auto& path : scratch.paths_) {
-    if (!path_qos(sys, view, path, now, &scratch).satisfies(qos_req)) return std::nullopt;
+    if (!path_qos(sys, path, &scratch).satisfies(qos_req)) return std::nullopt;
   }
   const Footprint& fp = scratch.footprint(sys, assignment_.data());
   if (!fp.feasible()) return std::nullopt;

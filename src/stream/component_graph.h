@@ -121,7 +121,7 @@ class CompositionScratch {
   friend class Footprint;
 
   struct VirtualLink {
-    QoSVector qos;  ///< Σ view.link_qos over the walk, in walk order
+    QoSVector qos;  ///< Σ StreamSystem::link_qos over the walk, in walk order
     /// The walk's slots: walks_[first, last).
     std::uint32_t first;
     std::uint32_t last;
@@ -197,7 +197,7 @@ class ComponentGraph {
   /// Distinct components in the composition (Eq. 2 requires one per fn).
   std::vector<ComponentId> components() const;
 
-  // ---- Evaluation (all read-only against a StateView) ---------------------
+  // ---- Evaluation (read-only) --------------------------------------------
 
   /// Eq. 2: every assigned component provides the requested function.
   bool functions_match(const StreamSystem& sys) const;
@@ -210,51 +210,30 @@ class ComponentGraph {
   bool interfaces_compatible(const StreamSystem& sys) const;
 
   /// Accumulated QoS of one source→sink path (components + virtual links,
-  /// added in path order). With `table` (begun on `view` and `now`), each
-  /// virtual link's QoS is summed once per request instead of once per path
-  /// and composition.
-  QoSVector path_qos(const StreamSystem& sys, const StateView& view,
-                     const std::vector<FnNodeIndex>& path, double now,
+  /// added in path order). With `table`, each virtual link's QoS is summed
+  /// once per request instead of once per path and composition.
+  QoSVector path_qos(const StreamSystem& sys, const std::vector<FnNodeIndex>& path,
                      CompositionScratch* table = nullptr) const;
 
   /// Eq. 3: every source→sink path's accumulated QoS satisfies `req`.
-  bool satisfies_qos(const StreamSystem& sys, const StateView& view, const QoSVector& req,
-                     double now) const;
-
-  /// Eq. 4 + 5: per-node aggregated demand fits available resources and
-  /// per-overlay-link aggregated bandwidth demand fits available bandwidth.
-  /// Demand aggregation makes this co-location correct: two components of
-  /// this request on one node must jointly fit (footnote 5).
-  bool resources_feasible(const StreamSystem& sys, const StateView& view, double now) const;
-
-  /// Eq. 1: congestion aggregation φ(λ). Lower is better. Uses residual
-  /// resources (available minus this composition's total demand on each
-  /// node/link). Components co-located with their neighbor contribute no
-  /// bandwidth term. Requires fully_assigned().
-  double congestion_aggregation(const StreamSystem& sys, const StateView& view, double now) const;
+  bool satisfies_qos(const StreamSystem& sys, const QoSVector& req) const;
 
   /// Every assigned component satisfies the request's security/license
   /// policy (extension: paper Sec. 6 future-work constraints).
   bool satisfies_policy(const StreamSystem& sys, const PolicyConstraint& policy) const;
 
-  /// All constraint checks at once (Eqs. 2–5).
-  bool qualified(const StreamSystem& sys, const StateView& view, const QoSVector& qos_req,
-                 double now) const;
-
-  /// Eqs. 2–5 plus the policy constraint.
-  bool qualified(const StreamSystem& sys, const StateView& view, const QoSVector& qos_req,
-                 const PolicyConstraint& policy, double now) const;
-
-  /// The fused pass behind qualified(): the policy constraint and Eqs. 2–5,
-  /// then φ (Eq. 1) from the same footprint. Returns φ when the composition
-  /// qualifies, nullopt otherwise. `scratch` must have been begun on this
-  /// graph's function graph, `view` and `now`.
+  /// All constraint checks in one fused pass: the policy constraint and
+  /// Eqs. 2–5, then φ (Eq. 1) from the same footprint. Returns φ when the
+  /// composition qualifies, nullopt otherwise. `scratch` must have been
+  /// begun on this graph's function graph, `view` and `now`.
   std::optional<double> qualify(const StreamSystem& sys, const StateView& view,
                                 const QoSVector& qos_req, const PolicyConstraint& policy,
                                 double now, CompositionScratch& scratch) const;
 
   /// This composition's footprint, built in `scratch` (requires
   /// fully_assigned() and a scratch begun on this graph's function graph).
+  /// Its feasible() is Eqs. 4 + 5 and its phi() is Eq. 1 on the view the
+  /// scratch was begun on.
   const Footprint& footprint(const StreamSystem& sys, CompositionScratch& scratch) const;
 
   bool operator==(const ComponentGraph& o) const { return assignment_ == o.assignment_; }

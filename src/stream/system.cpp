@@ -19,14 +19,6 @@ double StateView::virtual_link_available_kbps(const net::OverlayMesh& mesh, Node
   return avail;
 }
 
-QoSVector StateView::virtual_link_qos(const net::OverlayMesh& mesh, NodeId a, NodeId b,
-                                      double now) const {
-  QoSVector q;
-  if (a == b) return q;  // co-located: 0 network delay, no loss
-  mesh.for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) { q += link_qos(l, now); });
-  return q;
-}
-
 // ---- Ground-truth view ------------------------------------------------------
 
 class StreamSystem::TrueView final : public StateView {
@@ -39,15 +31,6 @@ class StreamSystem::TrueView final : public StateView {
 
   double link_available_kbps(net::OverlayLinkIndex l, double now) const override {
     return sys_.link_pool(l).available(now);
-  }
-
-  QoSVector component_qos(ComponentId c, double /*now*/) const override {
-    return sys_.component(c).qos;
-  }
-
-  QoSVector link_qos(net::OverlayLinkIndex l, double /*now*/) const override {
-    const auto& link = sys_.mesh().link(l);
-    return QoSVector::from_additive(link.delay_ms, link.additive_loss);
   }
 
  private:
@@ -120,6 +103,13 @@ const Component& StreamSystem::component(ComponentId c) const {
   return components_[c];
 }
 
+QoSVector StreamSystem::virtual_link_qos(NodeId a, NodeId b) const {
+  QoSVector q;
+  if (a == b) return q;  // co-located: 0 network delay, no loss
+  mesh_->for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) { q += link_qos(l); });
+  return q;
+}
+
 const std::vector<ComponentId>& StreamSystem::components_providing(FunctionId f) const {
   ACP_REQUIRE(f < by_function_.size());
   return by_function_[f];
@@ -155,10 +145,13 @@ bool StreamSystem::reserve_node_transient(RequestId request, std::uint32_t tag, 
 
 bool StreamSystem::reserve_virtual_link_transient(RequestId request, std::uint32_t tag, NodeId a,
                                                   NodeId b, double kbps, double now,
-                                                  double expires_at) {
+                                                  double expires_at,
+                                                  VirtualLinkWalk* reserved) {
+  VirtualLinkWalk local;
+  VirtualLinkWalk& done = reserved != nullptr ? *reserved : local;
+  done.clear();
   if (a == b) return true;  // co-located: no bandwidth consumed
   bool ok = true;
-  util::SmallVec<net::OverlayLinkIndex, 16> done;
   mesh_->for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
     if (!ok) return;
     if (link_pools_[l].reserve_transient(request, tag, kbps, now, expires_at)) {
@@ -171,6 +164,7 @@ bool StreamSystem::reserve_virtual_link_transient(RequestId request, std::uint32
   // Roll back partial reservations on already-done links, cancelling just
   // this tag (cancel_request would drop the request's other tags too).
   for (const net::OverlayLinkIndex l : done) link_pools_[l].cancel_request_tag(request, tag);
+  done.clear();
   return false;
 }
 

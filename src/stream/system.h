@@ -17,8 +17,12 @@
 #include "stream/function.h"
 #include "stream/resources.h"
 #include "stream/state_view.h"
+#include "util/small_vec.h"
 
 namespace acp::stream {
+
+/// The overlay links of one virtual link, in walk order.
+using VirtualLinkWalk = util::SmallVec<net::OverlayLinkIndex, 16>;
 
 /// The pools one request's probes placed transient reservations on, as
 /// recorded at admission. Entries may repeat; a pool named twice is
@@ -70,6 +74,17 @@ class StreamSystem {
   std::size_t node_count() const { return node_pools_.size(); }
   std::size_t component_count() const { return components_.size(); }
   const Component& component(ComponentId c) const;
+
+  /// QoS of overlay link `l` (delay + additive loss). Like a component's
+  /// QoS profile it is static: every view agrees on it.
+  QoSVector link_qos(net::OverlayLinkIndex l) const {
+    const auto& link = mesh_->link(l);
+    return QoSVector::from_additive(link.delay_ms, link.additive_loss);
+  }
+
+  /// Aggregated QoS of the virtual link a→b: the sum of its overlay links'
+  /// QoS in walk order; zero when a == b (paper footnote 4).
+  QoSVector virtual_link_qos(NodeId a, NodeId b) const;
   const std::vector<ComponentId>& components_providing(FunctionId f) const;
   const std::vector<ComponentId>& components_on(NodeId node) const;
 
@@ -96,9 +111,12 @@ class StreamSystem {
 
   /// Transiently reserves `kbps` on every overlay link of the virtual link
   /// a→b. All-or-nothing: on any failure already-made reservations for this
-  /// (request, tag) are cancelled. a == b trivially succeeds.
+  /// (request, tag) are cancelled. a == b trivially succeeds. When
+  /// `reserved` is given it is overwritten with the links reserved, in walk
+  /// order — empty on failure or co-location.
   bool reserve_virtual_link_transient(RequestId request, std::uint32_t tag, NodeId a, NodeId b,
-                                      double kbps, double now, double expires_at);
+                                      double kbps, double now, double expires_at,
+                                      VirtualLinkWalk* reserved = nullptr);
 
   /// Unchecked variants applying claims a shard worker already admitted
   /// against window-frozen state (see ReservationPool::force_reserve_
@@ -173,13 +191,6 @@ class StreamSystem::RequestScopedView final : public StateView {
   }
   double link_available_kbps(net::OverlayLinkIndex l, double now) const override {
     return sys_.link_pool(l).available_excluding(now, request_);
-  }
-  QoSVector component_qos(ComponentId c, double /*now*/) const override {
-    return sys_.component(c).qos;
-  }
-  QoSVector link_qos(net::OverlayLinkIndex l, double /*now*/) const override {
-    const auto& link = sys_.mesh().link(l);
-    return QoSVector::from_additive(link.delay_ms, link.additive_loss);
   }
 
  private:

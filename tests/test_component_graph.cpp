@@ -85,7 +85,7 @@ TEST_F(CgFixture, PathQosSumsComponentsAndLinks) {
   g.assign(2, c2);
   const auto paths = fg.enumerate_paths();
   ASSERT_EQ(paths.size(), 1u);
-  const auto q = g.path_qos(*sys, sys->true_state(), paths[0], 0.0);
+  const auto q = g.path_qos(*sys, paths[0]);
   const double expected_delay =
       30.0 + mesh->virtual_link_delay(0, 1) + mesh->virtual_link_delay(1, 2);
   EXPECT_NEAR(q.delay_ms(), expected_delay, 1e-9);
@@ -97,9 +97,8 @@ TEST_F(CgFixture, SatisfiesQosAgainstTightBound) {
   g.assign(0, c0);
   g.assign(1, c1);
   g.assign(2, c2);
-  EXPECT_TRUE(g.satisfies_qos(*sys, sys->true_state(), loose_req(), 0.0));
-  EXPECT_FALSE(g.satisfies_qos(*sys, sys->true_state(),
-                               QoSVector::from_metrics(29.0, 0.5), 0.0));
+  EXPECT_TRUE(g.satisfies_qos(*sys, loose_req()));
+  EXPECT_FALSE(g.satisfies_qos(*sys, QoSVector::from_metrics(29.0, 0.5)));
 }
 
 TEST_F(CgFixture, DemandAggregatesOnSharedNode) {
@@ -164,7 +163,7 @@ TEST_F(CgFixture, PhiMatchesHandComputation) {
     }
     expected += 100.0 / (residual + 100.0);
   }
-  EXPECT_NEAR(g.congestion_aggregation(*sys, sys->true_state(), 0.0), expected, 1e-9);
+  EXPECT_NEAR(testing::phi_of(*sys, g, sys->true_state(), 0.0), expected, 1e-9);
 }
 
 TEST_F(CgFixture, PhiCoLocationUsesJointResidual) {
@@ -183,7 +182,7 @@ TEST_F(CgFixture, PhiCoLocationUsesJointResidual) {
     residual = std::min(residual, sys->link_pool(l).capacity() - 100.0);
   }
   expected += 100.0 / (residual + 100.0);
-  EXPECT_NEAR(g.congestion_aggregation(*sys, sys->true_state(), 0.0), expected, 1e-9);
+  EXPECT_NEAR(testing::phi_of(*sys, g, sys->true_state(), 0.0), expected, 1e-9);
 }
 
 TEST_F(CgFixture, PhiIncreasesOnLoadedNodes) {
@@ -191,9 +190,9 @@ TEST_F(CgFixture, PhiIncreasesOnLoadedNodes) {
   g.assign(0, c0);
   g.assign(1, c1);
   g.assign(2, c2);
-  const double before = g.congestion_aggregation(*sys, sys->true_state(), 0.0);
+  const double before = testing::phi_of(*sys, g, sys->true_state(), 0.0);
   ASSERT_TRUE(sys->commit_node_direct(9, 1, ResourceVector(50.0, 500.0), 0.0));
-  const double after = g.congestion_aggregation(*sys, sys->true_state(), 0.0);
+  const double after = testing::phi_of(*sys, g, sys->true_state(), 0.0);
   EXPECT_GT(after, before);
 }
 
@@ -202,9 +201,12 @@ TEST_F(CgFixture, ResourcesFeasibleDetectsOverload) {
   g.assign(0, c0);
   g.assign(1, c1);
   g.assign(2, c2);
-  EXPECT_TRUE(g.resources_feasible(*sys, sys->true_state(), 0.0));
+  CompositionScratch scratch;
+  scratch.begin(fg, sys->true_state(), 0.0);
+  EXPECT_TRUE(g.footprint(*sys, scratch).feasible());
   ASSERT_TRUE(sys->commit_node_direct(9, 1, ResourceVector(95.0, 10.0), 0.0));
-  EXPECT_FALSE(g.resources_feasible(*sys, sys->true_state(), 0.0));
+  scratch.begin(fg, sys->true_state(), 0.0);  // the pools changed
+  EXPECT_FALSE(g.footprint(*sys, scratch).feasible());
 }
 
 TEST_F(CgFixture, QualifiedCombinesAllConstraints) {
@@ -212,8 +214,9 @@ TEST_F(CgFixture, QualifiedCombinesAllConstraints) {
   g.assign(0, c0);
   g.assign(1, c1);
   g.assign(2, c2);
-  EXPECT_TRUE(g.qualified(*sys, sys->true_state(), loose_req(), 0.0));
-  EXPECT_FALSE(g.qualified(*sys, sys->true_state(), QoSVector::from_metrics(1.0, 0.001), 0.0));
+  EXPECT_TRUE(testing::qualifies(*sys, g, sys->true_state(), loose_req(), 0.0));
+  EXPECT_FALSE(
+      testing::qualifies(*sys, g, sys->true_state(), QoSVector::from_metrics(1.0, 0.001), 0.0));
 }
 
 TEST_F(CgFixture, EqualityComparesAssignments) {

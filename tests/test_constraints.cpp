@@ -115,10 +115,12 @@ TEST_F(ConstraintSystemFixture, PerHopFilterEnforcesPolicy) {
 TEST_F(ConstraintSystemFixture, QualifiedRejectsPolicyViolations) {
   ComponentGraph g(req.graph);
   g.assign(0, open);
-  EXPECT_TRUE(g.qualified(*sys, sys->true_state(), req.qos_req, req.policy, 0.0));
+  CompositionScratch scratch;
+  scratch.begin(req.graph, sys->true_state(), 0.0);
+  EXPECT_TRUE(g.qualify(*sys, sys->true_state(), req.qos_req, req.policy, 0.0, scratch));
   req.policy.require_security(SecurityLevel::kCertified);
   EXPECT_FALSE(g.satisfies_policy(*sys, req.policy));
-  EXPECT_FALSE(g.qualified(*sys, sys->true_state(), req.qos_req, req.policy, 0.0));
+  EXPECT_FALSE(g.qualify(*sys, sys->true_state(), req.qos_req, req.policy, 0.0, scratch));
 }
 
 TEST_F(ConstraintSystemFixture, SearchesRespectPolicy) {

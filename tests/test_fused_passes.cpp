@@ -132,6 +132,16 @@ std::vector<net::OverlayLinkIndex> walk(const net::OverlayMesh& mesh, NodeId a, 
   return mesh.virtual_link_path(a, b);
 }
 
+/// The QoS of the virtual link a→b: its overlay links' delay and additive
+/// loss, summed from zero in walk order (zero when co-located).
+QoSVector walk_qos(const net::OverlayMesh& mesh, NodeId a, NodeId b) {
+  QoSVector q;
+  for (const auto l : walk(mesh, a, b)) {
+    q += QoSVector::from_additive(mesh.link(l).delay_ms, mesh.link(l).additive_loss);
+  }
+  return q;
+}
+
 /// One congestion term r / (rr + r) on residual rr: 0 without demand, and
 /// saturated at 1 once the residual is gone.
 double term(double r, double rr) {
@@ -174,14 +184,8 @@ Reference reference(const StreamSystem& sys, const StateView& view, const Compon
   for (const auto& path : fg.enumerate_paths()) {
     QoSVector q;
     for (std::size_t i = 0; i < path.size(); ++i) {
-      q += view.component_qos(cg.component_at(path[i]), now);
-      if (i + 1 < path.size()) {
-        QoSVector link;
-        for (const auto l : walk(mesh, node_of(path[i]), node_of(path[i + 1]))) {
-          link += view.link_qos(l, now);
-        }
-        q += link;
-      }
+      q += sys.component(cg.component_at(path[i])).qos;
+      if (i + 1 < path.size()) q += walk_qos(mesh, node_of(path[i]), node_of(path[i + 1]));
     }
     qos = qos && q.satisfies(qos_req);
   }
@@ -270,9 +274,14 @@ void check_fused_qualify(bool torus, std::uint64_t seed) {
       if (fused) {
         EXPECT_EQ(*fused, ref.phi) << cg.to_string(sys);
       }
-      EXPECT_EQ(cg.qualified(sys, view, qos_req, now), ref.qualified);
-      EXPECT_EQ(cg.resources_feasible(sys, view, now), ref.feasible) << cg.to_string(sys);
-      EXPECT_EQ(cg.congestion_aggregation(sys, view, now), ref.phi) << cg.to_string(sys);
+      // The same verdicts from a table begun for this composition alone.
+      CompositionScratch alone;
+      alone.begin(fg, view, now);
+      EXPECT_EQ(cg.qualify(sys, view, qos_req, PolicyConstraint{}, now, alone).has_value(),
+                ref.qualified);
+      const Footprint& fp = cg.footprint(sys, alone);
+      EXPECT_EQ(fp.feasible(), ref.feasible) << cg.to_string(sys);
+      EXPECT_EQ(fp.phi(), ref.phi) << cg.to_string(sys);
       qualified += ref.qualified ? 1 : 0;
       infeasible += ref.feasible ? 0 : 1;
       co_located += ref.co_located ? 1 : 0;
@@ -321,7 +330,7 @@ TEST(FusedQualify, ZeroBandwidthEdgeStillFailsOnDegradedLink) {
       CompositionScratch scratch;
       scratch.begin(fg, sys.true_state(), 0.0);
       EXPECT_FALSE(graph.qualify(sys, sys.true_state(), loose, PolicyConstraint{}, 0.0, scratch));
-      EXPECT_FALSE(graph.resources_feasible(sys, sys.true_state(), 0.0));
+      EXPECT_FALSE(graph.footprint(sys, scratch).feasible());
       return;
     }
   }
@@ -438,7 +447,22 @@ TEST(ScratchLifetime, QualifyRequiresTheViewAndInstantOfBegin) {
 
 // ---- Hop ranking --------------------------------------------------------------
 
-/// Literal Eqs. 6–8 filter over the unfused StateView helpers.
+/// Literal left-hand side of Eq. 6: the prefix's QoS, plus the candidate's,
+/// plus (with an upstream component) the QoS of the virtual link to it.
+QoSVector reference_qos(const core::HopContext& ctx, ComponentId c) {
+  const Component& cand = ctx.sys->component(c);
+  QoSVector total = ctx.accumulated;
+  total += cand.qos;
+  if (ctx.has_upstream) total += walk_qos(ctx.sys->mesh(), ctx.current_node, cand.node);
+  return total;
+}
+
+void expect_same_qos(const QoSVector& got, const QoSVector& want) {
+  EXPECT_EQ(got.delay_ms(), want.delay_ms());
+  EXPECT_EQ(got.additive_loss(), want.additive_loss());
+}
+
+/// Literal Eqs. 6–8 filter over the unfused helpers.
 std::vector<ComponentId> reference_filter(const core::HopContext& ctx, const StateView& view,
                                           const std::vector<ComponentId>& candidates) {
   std::vector<ComponentId> out;
@@ -450,12 +474,7 @@ std::vector<ComponentId> reference_filter(const core::HopContext& ctx, const Sta
     if (ctx.has_upstream && !sys.catalog().compatible(ctx.current_function, cand.function)) {
       continue;
     }
-    QoSVector total = ctx.accumulated;
-    total += view.component_qos(c, ctx.now);
-    if (ctx.has_upstream) {
-      total += view.virtual_link_qos(sys.mesh(), ctx.current_node, cand.node, ctx.now);
-    }
-    if (!total.satisfies(ctx.req->qos_req)) continue;
+    if (!reference_qos(ctx, c).satisfies(ctx.req->qos_req)) continue;
     if (!r.fits_within(view.node_available(cand.node, ctx.now))) continue;
     if (ctx.has_upstream && ctx.current_node != cand.node && ctx.edge_bw_kbps > 0.0 &&
         ctx.edge_bw_kbps >
@@ -499,8 +518,10 @@ void check_fused_ranking(bool torus, std::uint64_t seed) {
     std::vector<ComponentId> fused_ids;
     for (const auto& s : scored) {
       fused_ids.push_back(s.id);
-      EXPECT_EQ(s.risk, core::risk_function(ctx, view, s.id));
+      EXPECT_EQ(s.risk, core::risk_function(ctx, s.id));
       EXPECT_EQ(s.congestion, core::congestion_function(ctx, view, s.id));
+      expect_same_qos(s.qos, reference_qos(ctx, s.id));
+      expect_same_qos(core::candidate_qos(ctx, s.id), s.qos);
       co_located += ctx.has_upstream && sys.component(s.id).node == ctx.current_node ? 1 : 0;
     }
     ASSERT_EQ(fused_ids, reference_filter(ctx, view, candidates));
@@ -513,7 +534,10 @@ void check_fused_ranking(bool torus, std::uint64_t seed) {
       std::vector<core::ScoredCandidate> order = scored;
       core::select_best_into(order, m, eps, policy);
       std::vector<ComponentId> order_ids;
-      for (const auto& s : order) order_ids.push_back(s.id);
+      for (const auto& s : order) {
+        order_ids.push_back(s.id);
+        expect_same_qos(s.qos, reference_qos(ctx, s.id));  // ranking moves it with its id
+      }
       EXPECT_EQ(order_ids, core::select_best(ctx, view, fused_ids, m, eps, policy));
       ranked += fused_ids.size() > m ? 1 : 0;
     }

@@ -13,6 +13,25 @@
 
 namespace acp::testing {
 
+/// φ (Eq. 1) of a fully assigned composition on `view` at `now`: the phi()
+/// of its footprint on a scratch begun for it alone.
+inline double phi_of(const stream::StreamSystem& sys, const stream::ComponentGraph& g,
+                     const stream::StateView& view, double now) {
+  stream::CompositionScratch scratch;
+  scratch.begin(g.function_graph(), view, now);
+  return g.footprint(sys, scratch).phi();
+}
+
+/// Eqs. 2–5 plus `policy`: whether `g` qualifies on `view` at `now`, by
+/// ComponentGraph::qualify on a scratch begun for it alone.
+inline bool qualifies(const stream::StreamSystem& sys, const stream::ComponentGraph& g,
+                      const stream::StateView& view, const stream::QoSVector& qos_req,
+                      double now, const stream::PolicyConstraint& policy = {}) {
+  stream::CompositionScratch scratch;
+  scratch.begin(g.function_graph(), view, now);
+  return g.qualify(sys, view, qos_req, policy, now, scratch).has_value();
+}
+
 /// Finds `len` pairwise interface-compatible functions (a valid chain) in
 /// the catalog via DFS. Fixtures use this so hand-built function graphs
 /// satisfy the same compatibility invariants template-generated ones do.

@@ -1,5 +1,6 @@
 // Deterministic seeded-mutation fuzzing of every artifact reader: fault
-// plans, trace lines, BENCH documents, timelines and attribution files.
+// plans, trace lines, BENCH documents, timelines and attribution files, and
+// the per-request trace reconstruction behind validate, analyze and export.
 //
 // Each seed input — the tools/acptrace/testdata fixtures plus inline fault
 // plan, timeline and out-of-range integer samples — is mutated by flipping, inserting and
@@ -15,6 +16,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "acptrace/acptrace_lib.h"
@@ -90,6 +92,17 @@ void read_trace(const std::string& text) {
   }
 }
 
+/// A whole trace through the per-request reconstruction (validate and
+/// analyze) and the Chrome-trace export with its run labels.
+void reconstruct_trace(const std::string& text) {
+  std::istringstream in(text);
+  const tracecli::TraceData trace = tracecli::load_trace(in);
+  tracecli::validate(trace);
+  tracecli::analyze(trace);
+  std::ostringstream sink;
+  tracecli::export_chrome_trace(sink, trace);
+}
+
 void read_bench(const std::string& text) { tracecli::decode_bench(obs::parse_json(text)); }
 
 void read_timeline(const std::string& text) {
@@ -144,6 +157,48 @@ const char* const kAttributionOutOfRange[] = {
     "{\"type\": \"attr\", \"phase\": \"probe\", \"fn\": 0.5}",
 };
 
+/// A request and one of its probes: the prefix the probe-level inputs
+/// below extend.
+const std::string kAccepted =
+    R"({"t": 0, "type": "request_accepted", "run": 1, "req": 1, "deputy": 5, "paths": 1})" "\n";
+const std::string kSpawned =
+    R"({"t": 0, "type": "probe_spawned", "run": 1, "req": 1, "probe": 1, "parent": 0, )"
+    R"("path": 0, "hop": 0, "node": 5})" "\n";
+
+/// Trace ids and counts the reconstruction once cast unchecked, each paired
+/// with the field its rejection names.
+const std::vector<std::pair<std::string, std::string>> kTraceOutOfRange = {
+    {R"({"t": 0, "type": "request_accepted", "run": 1, "req": -1, "deputy": 5, "paths": 1})",
+     "req"},
+    {kAccepted + R"({"t": 0, "type": "probe_spawned", "run": 1, "req": 1, "probe": 1e300})",
+     "probe"},
+    {R"({"t": 0, "type": "run_started", "run": -2, "label": "ACP"})", "run"},
+    {R"({"t": 0, "type": "request_accepted", "run": 1, "req": 1, "deputy": 0.5})", "deputy"},
+    {R"({"t": 0, "type": "request_accepted", "run": 1, "req": 1, "paths": 1e19})", "paths"},
+    {kAccepted + R"({"t": 0, "type": "probe_spawned", "run": 1, "req": 1, "probe": 1, )"
+                 R"("parent": -1})",
+     "parent"},
+    {kAccepted + R"({"t": 0, "type": "probe_spawned", "run": 1, "req": 1, "probe": 1, "node": -5})",
+     "node"},
+    {kAccepted + R"({"t": 0, "type": "probe_spawned", "run": 1, "req": 1, "probe": 1, "hop": 1.5})",
+     "hop"},
+    {kAccepted + R"({"t": 0, "type": "probe_spawned", "run": 1, "req": 1, "probe": 1, )"
+                 R"("path": 1e300})",
+     "path"},
+    {kAccepted + R"({"t": 0, "type": "probe_spawned", "run": 1, "req": 1, "probe": 1, )"
+                 R"("component": -1})",
+     "component"},
+    {kAccepted + kSpawned +
+         R"({"t": 1, "type": "probe_rejected", "run": 1, "req": 1, "probe": 1, )"
+         R"("component": 1e300})",
+     "component"},
+    {kAccepted + R"({"t": 1, "type": "probe_timeout", "run": 1, "req": 1, "outstanding": -3})",
+     "outstanding"},
+    {kAccepted + R"({"t": 1, "type": "composition_confirmed", "run": 1, "req": 1, )"
+                 R"("session": -1, "phi": 1})",
+     "session"},
+};
+
 /// Rejects `input` with a PreconditionError naming `field`.
 void expect_rejected(const std::string& input, void (*reader)(const std::string&),
                      const std::string& field) {
@@ -175,6 +230,13 @@ TEST(JsonFuzz, LoadersRejectOutOfRangeIntegers) {
       "{\"type\": \"attr\", \"phase\": \"probe\", \"node\": -1, \"fn\": -1, \"count\": 3}"));
 }
 
+TEST(JsonFuzz, ReconstructionRejectsOutOfRangeIds) {
+  for (const auto& [input, field] : kTraceOutOfRange) {
+    expect_rejected(input, reconstruct_trace, field);
+  }
+  EXPECT_NO_THROW(reconstruct_trace(read_fixture("golden_trace.jsonl")));
+}
+
 TEST(JsonFuzz, ReadersAcceptOrRejectCleanly) {
   util::Rng rng(kSeed);
   struct Case {
@@ -193,10 +255,15 @@ TEST(JsonFuzz, ReadersAcceptOrRejectCleanly) {
       {read_fixture("bench_current_ok.json"), read_bench},
       {read_fixture("bench_slow.json"), read_bench},
       {read_fixture("attr_golden.jsonl"), read_attribution},
+      {read_fixture("golden_trace.jsonl"), reconstruct_trace},
+      {read_fixture("failed_trace.jsonl"), reconstruct_trace},
+      {read_fixture("orphan_trace.jsonl"), reconstruct_trace},
+      {read_fixture("double_return_trace.jsonl"), reconstruct_trace},
   };
   for (const char* text : kBenchOutOfRange) cases.push_back({text, read_bench});
   for (const char* text : kTimelineOutOfRange) cases.push_back({text, read_timeline});
   for (const char* text : kAttributionOutOfRange) cases.push_back({text, read_attribution});
+  for (const auto& c : kTraceOutOfRange) cases.push_back({c.first, reconstruct_trace});
   std::size_t rejected = 0;
   for (const Case& c : cases) rejected += fuzz(c.input, c.reader, rng);
   // Mutation must actually reach the error paths.

@@ -491,6 +491,47 @@ struct SameWindowPair {
   double small_phi = 0.0;
 };
 
+/// Runs `requests`, all arriving at t = 0, through the sharded probing
+/// protocol (ACP: guided hops, min-φ selection, α = 1) at `shards` lanes
+/// with a 1 s barrier window, and returns their outcomes.
+std::vector<core::CompositionOutcome> run_sharded_requests(
+    stream::StreamSystem& sys, stream::SessionTable& sessions,
+    const std::vector<workload::Request>& requests, std::size_t shards) {
+  sim::ShardedEngine::Config scfg;
+  scfg.shards = shards;
+  scfg.window_s = 1.0;
+  sim::ShardedEngine engine(scfg);
+  obs::MetricsRegistry metrics;
+  state::GlobalStateManager global(sys, engine.global(), metrics);
+  global.start();
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> lane_metrics;
+  std::vector<std::unique_ptr<discovery::Registry>> registries;
+  std::vector<std::unique_ptr<stream::StateView>> views;
+  std::vector<std::unique_ptr<core::ProbingProtocol>> protocols;
+  std::vector<core::ProbingProtocol*> instances;
+  for (std::size_t i = 0; i < shards; ++i) {
+    lane_metrics.push_back(std::make_unique<obs::MetricsRegistry>());
+    registries.push_back(std::make_unique<discovery::Registry>(sys, *lane_metrics.back()));
+    views.push_back(global.make_shard_view(nullptr));
+    protocols.push_back(std::make_unique<core::ProbingProtocol>(
+        sys, sessions, engine.global(), *lane_metrics.back(), *registries.back(), *views.back(),
+        util::Rng(7), core::ProbingConfig{}));
+    protocols.back()->set_shard_host(&engine);
+    instances.push_back(protocols.back().get());
+  }
+  core::ShardedProbing router(engine.plan(), instances);
+  std::vector<core::CompositionOutcome> outcomes(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    engine.global().schedule_after(0.0, [&, i] {
+      router.execute(requests[i], 1.0, core::PerHopPolicy::kGuided,
+                     core::SelectionPolicy::kBestPhi,
+                     [&outcomes, i](const core::CompositionOutcome& out) { outcomes[i] = out; });
+    });
+  }
+  engine.run_until(5.0);
+  return outcomes;
+}
+
 SameWindowPair run_same_window_pair(std::size_t shards) {
   using stream::NodeId;
   using stream::QoSVector;
@@ -530,38 +571,8 @@ SameWindowPair run_same_window_pair(std::size_t shards) {
     req.client_ip = i == 0 ? kSource : large_deputy;
   }
 
-  sim::ShardedEngine::Config scfg;
-  scfg.shards = shards;
-  scfg.window_s = 1.0;
-  sim::ShardedEngine engine(scfg);
-  obs::MetricsRegistry metrics;
-  state::GlobalStateManager global(sys, engine.global(), metrics);
-  global.start();
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> lane_metrics;
-  std::vector<std::unique_ptr<discovery::Registry>> registries;
-  std::vector<std::unique_ptr<stream::StateView>> views;
-  std::vector<std::unique_ptr<core::ProbingProtocol>> protocols;
-  std::vector<core::ProbingProtocol*> instances;
-  for (std::size_t i = 0; i < shards; ++i) {
-    lane_metrics.push_back(std::make_unique<obs::MetricsRegistry>());
-    registries.push_back(std::make_unique<discovery::Registry>(sys, *lane_metrics.back()));
-    views.push_back(global.make_shard_view(nullptr));
-    protocols.push_back(std::make_unique<core::ProbingProtocol>(
-        sys, sessions, engine.global(), *lane_metrics.back(), *registries.back(), *views.back(),
-        util::Rng(7), core::ProbingConfig{}));
-    protocols.back()->set_shard_host(&engine);
-    instances.push_back(protocols.back().get());
-  }
-  core::ShardedProbing router(engine.plan(), instances);
-  std::vector<core::CompositionOutcome> outcomes(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    engine.global().schedule_after(0.0, [&, i] {
-      router.execute(requests[i], 1.0, core::PerHopPolicy::kGuided,
-                     core::SelectionPolicy::kBestPhi,
-                     [&outcomes, i](const core::CompositionOutcome& out) { outcomes[i] = out; });
-    });
-  }
-  engine.run_until(5.0);
+  const std::vector<core::CompositionOutcome> outcomes =
+      run_sharded_requests(sys, sessions, requests, shards);
 
   SameWindowPair r;
   const auto f1_node = [&](const core::CompositionOutcome& out) {
@@ -591,6 +602,59 @@ TEST(ShardedBarrier, SameWindowClaimMakesRequalificationFallBack) {
     // dimension there, f1 55 of 60 CPU and 1 of 1000 MB on node 3, the
     // edge 10 of 1e5 kbps. The frozen view had 1000 free on node 0.
     EXPECT_NEAR(r.small_phi, 2.0 / 999.0 + 55.0 / 60.0 + 1.0 / 1000.0 + 10.0 / 1e5, 1e-12);
+  }
+}
+
+/// One request whose chain crosses overlay link 0–1 out and back: f0 and
+/// f2 on node 0, f1 on node 1, both edges 10 kbps (one claim tag each), the
+/// link left with `link_free_kbps` by background traffic.
+core::CompositionOutcome run_there_and_back(double link_free_kbps, std::size_t shards) {
+  using stream::NodeId;
+  using stream::QoSVector;
+  using stream::ResourceVector;
+  constexpr NodeId kHome = 0, kAway = 1;
+  const net::OverlayMesh mesh = net::OverlayMesh::torus(3, 3, 2.0, 1e5);
+  util::Rng crng(3);
+  stream::StreamSystem sys(mesh, stream::FunctionCatalog::generate(6, crng));
+  const auto chain = acp::testing::compatible_chain(sys.catalog(), 3);
+  for (NodeId n = 0; n < sys.node_count(); ++n) {
+    sys.set_node_capacity(n, ResourceVector(1000.0, 1000.0));
+  }
+  sys.add_component(chain[0], kHome, QoSVector::from_metrics(1.0, 0.0));
+  sys.add_component(chain[1], kAway, QoSVector::from_metrics(1.0, 0.0));
+  sys.add_component(chain[2], kHome, QoSVector::from_metrics(1.0, 0.0));
+  const std::vector<net::OverlayLinkIndex> out = mesh.virtual_link_path(kHome, kAway);
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_EQ(mesh.virtual_link_path(kAway, kHome), out);
+  EXPECT_TRUE(sys.link_pool(out.at(0)).commit_direct(99, 1e5 - link_free_kbps, 0.0));
+  stream::SessionTable sessions(sys);
+
+  std::vector<workload::Request> requests(1);
+  workload::Request& req = requests[0];
+  req.id = 1;
+  for (const stream::FunctionId f : chain) req.graph.add_node(f, ResourceVector(1.0, 1.0));
+  req.graph.add_edge(0, 1, 10.0);
+  req.graph.add_edge(1, 2, 10.0);
+  req.qos_req = QoSVector::from_metrics(1000.0, 0.5);
+  req.duration_s = 1e6;
+  req.client_ip = kHome;
+  return run_sharded_requests(sys, sessions, requests, shards).at(0);
+}
+
+TEST(ShardedAdmission, SecondTagOnAClaimedLinkIsRefused) {
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    // 25 kbps carries both edges: the return edge is admitted against the
+    // link minus the outgoing edge's claim (15 left of 25).
+    const core::CompositionOutcome roomy = run_there_and_back(25.0, shards);
+    EXPECT_TRUE(roomy.success());
+    EXPECT_EQ(roomy.candidates_examined, 1u);
+    // 15 kbps carries either edge but not both. The return edge's admission
+    // subtracts the outgoing edge's claim (5 left of 15) and refuses, so the
+    // probe dies at the hop and nothing reaches the deputy.
+    const core::CompositionOutcome tight = run_there_and_back(15.0, shards);
+    EXPECT_FALSE(tight.success());
+    EXPECT_EQ(tight.candidates_examined, 0u);
   }
 }
 

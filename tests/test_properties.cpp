@@ -132,7 +132,7 @@ TEST_P(SeedSweep, ProbingAtFullAlphaMatchesGuidedSearchQuality) {
   // Evaluate the reference φ NOW — after the protocol commits its session
   // the system is no longer idle.
   const double expected_phi =
-      expected ? expected->congestion_aggregation(*w.sys, w.sys->true_state(), 0.0) : -1.0;
+      expected ? testing::phi_of(*w.sys, *expected, w.sys->true_state(), 0.0) : -1.0;
 
   std::optional<CompositionOutcome> out;
   w.protocol->execute(req, 1.0, PerHopPolicy::kGuided, SelectionPolicy::kBestPhi,

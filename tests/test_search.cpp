@@ -77,7 +77,7 @@ struct SearchFixture : ::testing::Test {
   }
 
   /// Naive reference: enumerate the full candidate cross-product via
-  /// ComponentGraph::qualified / congestion_aggregation and return min-φ.
+  /// ComponentGraph::qualify / the footprint's φ and return min-φ.
   std::optional<double> brute_force_best_phi(const workload::Request& req) {
     std::vector<const std::vector<ComponentId>*> cand_lists;
     for (FnNodeIndex i = 0; i < req.graph.node_count(); ++i) {
@@ -91,8 +91,8 @@ struct SearchFixture : ::testing::Test {
       for (FnNodeIndex i = 0; i < req.graph.node_count(); ++i) {
         g.assign(i, (*cand_lists[i])[idx[i]]);
       }
-      if (g.qualified(*sys, sys->true_state(), req.qos_req, 0.0)) {
-        const double phi = g.congestion_aggregation(*sys, sys->true_state(), 0.0);
+      if (testing::qualifies(*sys, g, sys->true_state(), req.qos_req, 0.0)) {
+        const double phi = testing::phi_of(*sys, g, sys->true_state(), 0.0);
         if (!best || phi < *best) best = phi;
       }
       // Odometer increment.
@@ -118,8 +118,8 @@ TEST_F(SearchFixture, ExhaustiveMatchesBruteForceOnPath) {
   const auto found = exhaustive_best(*sys, req, sys->true_state(), 0.0, &stats);
   ASSERT_EQ(found.has_value(), expected.has_value());
   if (found) {
-    EXPECT_NEAR(found->congestion_aggregation(*sys, sys->true_state(), 0.0), *expected, 1e-9);
-    EXPECT_TRUE(found->qualified(*sys, sys->true_state(), req.qos_req, 0.0));
+    EXPECT_NEAR(testing::phi_of(*sys, *found, sys->true_state(), 0.0), *expected, 1e-9);
+    EXPECT_TRUE(testing::qualifies(*sys, *found, sys->true_state(), req.qos_req, 0.0));
   }
 }
 
@@ -129,7 +129,7 @@ TEST_F(SearchFixture, ExhaustiveMatchesBruteForceOnDag) {
   const auto found = exhaustive_best(*sys, req, sys->true_state(), 0.0);
   ASSERT_EQ(found.has_value(), expected.has_value());
   if (found) {
-    EXPECT_NEAR(found->congestion_aggregation(*sys, sys->true_state(), 0.0), *expected, 1e-9);
+    EXPECT_NEAR(testing::phi_of(*sys, *found, sys->true_state(), 0.0), *expected, 1e-9);
   }
 }
 
@@ -145,7 +145,7 @@ TEST_F(SearchFixture, ExhaustiveMatchesBruteForceUnderLoad) {
     const auto found = exhaustive_best(*sys, req, sys->true_state(), 0.0);
     ASSERT_EQ(found.has_value(), expected.has_value());
     if (found) {
-      EXPECT_NEAR(found->congestion_aggregation(*sys, sys->true_state(), 0.0), *expected, 1e-9);
+      EXPECT_NEAR(testing::phi_of(*sys, *found, sys->true_state(), 0.0), *expected, 1e-9);
     }
   }
 }
@@ -160,14 +160,14 @@ TEST_F(SearchFixture, GuidedNeverBeatsExhaustive) {
   const auto req = path_request();
   const auto best = exhaustive_best(*sys, req, sys->true_state(), 0.0);
   ASSERT_TRUE(best.has_value());
-  const double best_phi = best->congestion_aggregation(*sys, sys->true_state(), 0.0);
+  const double best_phi = testing::phi_of(*sys, *best, sys->true_state(), 0.0);
   for (double alpha : {0.1, 0.3, 0.7, 1.0}) {
     const auto g =
         guided_search(*sys, req, alpha, sys->true_state(), sys->true_state(), 0.0);
     if (g) {
-      const double phi = g->congestion_aggregation(*sys, sys->true_state(), 0.0);
+      const double phi = testing::phi_of(*sys, *g, sys->true_state(), 0.0);
       EXPECT_GE(phi, best_phi - 1e-9) << "alpha=" << alpha;
-      EXPECT_TRUE(g->qualified(*sys, sys->true_state(), req.qos_req, 0.0));
+      EXPECT_TRUE(testing::qualifies(*sys, *g, sys->true_state(), req.qos_req, 0.0));
     }
   }
 }
@@ -179,8 +179,8 @@ TEST_F(SearchFixture, GuidedAtFullAlphaMatchesExhaustiveOnPath) {
                                0.05, nullptr, /*beam_cap=*/100000);
   ASSERT_TRUE(best.has_value());
   ASSERT_TRUE(g.has_value());
-  EXPECT_NEAR(g->congestion_aggregation(*sys, sys->true_state(), 0.0),
-              best->congestion_aggregation(*sys, sys->true_state(), 0.0), 1e-9);
+  EXPECT_NEAR(testing::phi_of(*sys, *g, sys->true_state(), 0.0),
+              testing::phi_of(*sys, *best, sys->true_state(), 0.0), 1e-9);
 }
 
 TEST_F(SearchFixture, RandomAssignmentCoversAllNodesOrFails) {
@@ -321,10 +321,10 @@ TEST(SearchOracle, GuidedFullAlphaMatchesExhaustiveOnRandomInstances) {
     }
     ++solved;
     ASSERT_TRUE(g.has_value()) << "seed " << seed;
-    const double best_phi = best->congestion_aggregation(sys, sys.true_state(), 0.0);
-    const double g_phi = g->congestion_aggregation(sys, sys.true_state(), 0.0);
+    const double best_phi = testing::phi_of(sys, *best, sys.true_state(), 0.0);
+    const double g_phi = testing::phi_of(sys, *g, sys.true_state(), 0.0);
     EXPECT_NEAR(g_phi, best_phi, 1e-9) << "seed " << seed;
-    EXPECT_TRUE(g->qualified(sys, sys.true_state(), req.qos_req, 0.0)) << "seed " << seed;
+    EXPECT_TRUE(testing::qualifies(sys, *g, sys.true_state(), req.qos_req, 0.0)) << "seed " << seed;
   }
   // The generator must hit both branches or the oracle is vacuous.
   EXPECT_GE(solved, 10u);

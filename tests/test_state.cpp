@@ -110,12 +110,6 @@ TEST_F(StateFixture, StartTwiceThrows) {
   EXPECT_THROW(mgr.start(), acp::PreconditionError);
 }
 
-TEST_F(StateFixture, ComponentQosIsServedFromCoarseView) {
-  GlobalStateManager mgr(*sys, engine, metrics);
-  mgr.start();
-  EXPECT_NEAR(mgr.view().component_qos(comp, 0.0).delay_ms(), 5.0, 1e-12);
-}
-
 // ---- Local state -------------------------------------------------------------
 
 TEST_F(StateFixture, LocalViewSelfIsAlwaysExact) {

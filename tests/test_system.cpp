@@ -95,6 +95,53 @@ TEST_F(SystemFixture, VirtualLinkReservationSucceedsAndConfirms) {
   }
 }
 
+TEST_F(SystemFixture, VirtualLinkReservationHandsBackItsWalk) {
+  const NodeId a = 0, b = static_cast<NodeId>(sys->node_count() - 1);
+  std::vector<net::OverlayLinkIndex> walked;
+  mesh->for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) { walked.push_back(l); });
+  ASSERT_GT(walked.size(), 1u);
+  VirtualLinkWalk reserved;
+  reserved.push_back(12345);  // overwritten, not appended to
+  ASSERT_TRUE(sys->reserve_virtual_link_transient(1, 7, a, b, 100.0, 0.0, 10.0, &reserved));
+  EXPECT_EQ(std::vector<net::OverlayLinkIndex>(reserved.begin(), reserved.end()), walked);
+  for (const auto l : walked) EXPECT_EQ(sys->link_pool(l).live_transient_count(0.0), 1u);
+  // The walk's QoS is the sum of its links' QoS, in walk order.
+  QoSVector q;
+  for (const auto l : walked) q += sys->link_qos(l);
+  EXPECT_EQ(sys->virtual_link_qos(a, b), q);
+  EXPECT_NEAR(q.delay_ms(), mesh->virtual_link_delay(a, b), 1e-9);
+  // Co-location reserves nothing and hands back nothing.
+  ASSERT_TRUE(sys->reserve_virtual_link_transient(1, 8, 4, 4, 1e12, 0.0, 10.0, &reserved));
+  EXPECT_TRUE(reserved.empty());
+  EXPECT_EQ(sys->virtual_link_qos(4, 4), QoSVector{});
+}
+
+TEST_F(SystemFixture, FailedVirtualLinkReservationHandsBackNothing) {
+  const NodeId a = 0, b = static_cast<NodeId>(sys->node_count() - 1);
+  const auto& path = mesh->virtual_link_path(a, b);
+  ASSERT_GT(path.size(), 1u);
+  // The request already holds another tag on the first link; the last link
+  // is full, so the reservation fails after reserving every other link.
+  ASSERT_TRUE(sys->link_pool(path.front()).reserve_transient(1, 3, 10.0, 0.0, 10.0));
+  ASSERT_TRUE(sys->link_pool(path.back()).commit_direct(42, sys->link_pool(path.back()).capacity(),
+                                                        0.0));
+  std::vector<double> available;
+  std::vector<std::size_t> transients;
+  for (const auto l : path) {
+    available.push_back(sys->link_pool(l).available(0.0));
+    transients.push_back(sys->link_pool(l).live_transient_count(0.0));
+  }
+  VirtualLinkWalk reserved;
+  reserved.push_back(12345);
+  EXPECT_FALSE(sys->reserve_virtual_link_transient(1, 7, a, b, 100.0, 0.0, 10.0, &reserved));
+  EXPECT_TRUE(reserved.empty());
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    EXPECT_EQ(sys->link_pool(path[i]).available(0.0), available[i]) << "link " << path[i];
+    EXPECT_EQ(sys->link_pool(path[i]).live_transient_count(0.0), transients[i])
+        << "link " << path[i];
+  }
+}
+
 TEST_F(SystemFixture, CoLocatedVirtualLinkIsFree) {
   EXPECT_TRUE(sys->reserve_virtual_link_transient(1, 0, 4, 4, 1e12, 0.0, 10.0));
   EXPECT_TRUE(sys->confirm_virtual_link(1, 0, 4, 4, 2, 0.0));

@@ -61,7 +61,7 @@ namespace {
 using ReqKey = std::pair<std::uint64_t, std::uint64_t>;
 
 ReqKey req_key(const obs::ParsedTraceEvent& ev) {
-  return {static_cast<std::uint64_t>(ev.num("run")), static_cast<std::uint64_t>(ev.num("req"))};
+  return {as_count(ev.num("run"), "run"), as_count(ev.num("req"), "req")};
 }
 
 struct ProbeInfo {
@@ -96,7 +96,7 @@ struct ReqInfo {
   std::uint64_t spawns = 0, forks = 0, returns = 0, rejects = 0;
   std::uint64_t retries = 0;  ///< probe_retry spans (retransmissions, not dispositions)
   std::uint64_t terminals = 0;
-  double timeout_outstanding = 0.0;
+  std::uint64_t timeout_outstanding = 0;
   std::map<std::string, std::uint64_t> reject_reasons;
   std::map<std::uint64_t, ProbeInfo> probes;
 };
@@ -125,25 +125,25 @@ std::map<ReqKey, ReqInfo> reconstruct(const TraceData& trace, std::vector<Violat
 
   for (const auto& ev : trace.events) {
     const std::string& type = ev.str("type");
-    const auto run = static_cast<std::uint64_t>(ev.num("run"));
+    const std::uint64_t run = as_count(ev.num("run"), "run");
 
     if (type == "request_accepted") {
       ReqInfo& r = reqs[req_key(ev)];
       if (r.accepted) {
-        violation("run " + std::to_string(run) + " req " + std::to_string(ev.num("req")) +
+        violation("run " + std::to_string(run) + " req " + std::to_string(req_key(ev).second) +
                   ": duplicate request_accepted");
       }
       r.accepted = true;
       r.accepted_t = ev.num("t");
-      r.deputy = static_cast<std::uint64_t>(ev.num("deputy"));
-      r.paths = static_cast<std::uint64_t>(ev.num("paths"));
+      r.deputy = as_count(ev.num("deputy"), "deputy");
+      r.paths = as_count(ev.num("paths"), "paths");
       r.alpha = ev.num("alpha");
       continue;
     }
 
     if (type == "probe_spawned") {
-      const auto id = static_cast<std::uint64_t>(ev.num("probe"));
-      const auto parent = static_cast<std::uint64_t>(ev.num("parent"));
+      const std::uint64_t id = as_count(ev.num("probe"), "probe");
+      const std::uint64_t parent = as_count(ev.num("parent"), "parent");
       auto& owners = probe_owner[run];
       if (owners.count(id) != 0) {
         violation("run " + std::to_string(run) + ": probe " + std::to_string(id) +
@@ -159,17 +159,17 @@ std::map<ReqKey, ReqInfo> reconstruct(const TraceData& trace, std::vector<Violat
       ++r.spawns;
       ProbeInfo& p = r.probes[id];
       p.parent = parent;
-      p.node = static_cast<std::uint64_t>(ev.num("node"));
-      p.hop = static_cast<std::uint64_t>(ev.num("hop"));
-      p.path = static_cast<std::uint64_t>(ev.num("path"));
-      if (ev.has("component")) p.component = static_cast<std::int64_t>(ev.num("component"));
+      p.node = as_count(ev.num("node"), "node");
+      p.hop = as_count(ev.num("hop"), "hop");
+      p.path = as_count(ev.num("path"), "path");
+      if (ev.has("component")) p.component = as_whole(ev.num("component"), 0, "component");
       p.spawn_t = ev.num("t");
       p.end_t = p.spawn_t;
       continue;
     }
 
     if (type == "probe_hop" || type == "probe_rejected" || type == "probe_returned") {
-      const auto id = static_cast<std::uint64_t>(ev.num("probe"));
+      const std::uint64_t id = as_count(ev.num("probe"), "probe");
       auto& owners = probe_owner[run];
       const auto owner = owners.find(id);
       if (owner == owners.end()) {
@@ -203,7 +203,7 @@ std::map<ReqKey, ReqInfo> reconstruct(const TraceData& trace, std::vector<Violat
           ++r.rejects;
           p.reason = ev.has("reason") ? ev.str("reason") : "?";
           if (ev.has("component")) {
-            p.moved_component = static_cast<std::int64_t>(ev.num("component"));
+            p.moved_component = as_whole(ev.num("component"), 0, "component");
           }
           ++r.reject_reasons[p.reason];
           break;
@@ -217,7 +217,7 @@ std::map<ReqKey, ReqInfo> reconstruct(const TraceData& trace, std::vector<Violat
       // in-flight probe, so a retry never counts as a second disposition —
       // it only extends the probe's lifetime. It must reference a live
       // (spawned, undisposed) probe.
-      const auto id = static_cast<std::uint64_t>(ev.num("probe"));
+      const std::uint64_t id = as_count(ev.num("probe"), "probe");
       auto& owners = probe_owner[run];
       const auto owner = owners.find(id);
       if (owner == owners.end()) {
@@ -241,19 +241,19 @@ std::map<ReqKey, ReqInfo> reconstruct(const TraceData& trace, std::vector<Violat
     if (type == "probe_timeout") {
       ReqInfo& r = reqs[req_key(ev)];
       r.timed_out = true;
-      r.timeout_outstanding += ev.num("outstanding");
+      r.timeout_outstanding += as_count(ev.num("outstanding"), "outstanding");
       continue;
     }
 
     if (type == "composition_confirmed" || type == "composition_failed") {
       ReqInfo& r = reqs[req_key(ev)];
       if (!r.accepted) {
-        violation("run " + std::to_string(run) + " req " + std::to_string(ev.num("req")) +
+        violation("run " + std::to_string(run) + " req " + std::to_string(req_key(ev).second) +
                   ": " + type + " without request_accepted");
       }
       ++r.terminals;
       if (r.terminals > 1) {
-        violation("run " + std::to_string(run) + " req " + std::to_string(ev.num("req")) +
+        violation("run " + std::to_string(run) + " req " + std::to_string(req_key(ev).second) +
                   ": second terminal event (" + type + ")");
       }
       r.terminal = true;
@@ -261,7 +261,7 @@ std::map<ReqKey, ReqInfo> reconstruct(const TraceData& trace, std::vector<Violat
       r.end_t = ev.num("t");
       r.setup_s = ev.has("setup_s") ? ev.num("setup_s") : r.end_t - r.accepted_t;
       if (r.confirmed) {
-        r.session = static_cast<std::uint64_t>(ev.num("session"));
+        r.session = as_count(ev.num("session"), "session");
         r.phi = ev.num("phi");
       }
       continue;
@@ -280,13 +280,13 @@ std::map<ReqKey, ReqInfo> reconstruct(const TraceData& trace, std::vector<Violat
       if (trace.truncated) continue;
       if (r.accepted && !r.terminal) violation(who + ": no composition_confirmed/failed");
       const std::uint64_t settled =
-          r.forks + r.returns + r.rejects + static_cast<std::uint64_t>(r.timeout_outstanding);
+          r.forks + r.returns + r.rejects + r.timeout_outstanding;
       if (r.spawns != settled) {
         violation(who + ": probe accounting imbalance: spawned " + std::to_string(r.spawns) +
                   " != forked " + std::to_string(r.forks) + " + returned " +
                   std::to_string(r.returns) + " + rejected " + std::to_string(r.rejects) +
                   " + outstanding-at-timeout " +
-                  std::to_string(static_cast<std::uint64_t>(r.timeout_outstanding)));
+                  std::to_string(r.timeout_outstanding));
       }
     }
   }
@@ -1010,7 +1010,7 @@ void render_request(std::ostream& os, const ReqKey& key, const ReqInfo& r) {
   os << "  probes: " << r.spawns << " spawned = " << r.forks << " forked + " << r.returns
      << " returned + " << r.rejects << " rejected";
   if (r.timed_out) {
-    os << " + " << static_cast<std::uint64_t>(r.timeout_outstanding) << " outstanding at timeout";
+    os << " + " << r.timeout_outstanding << " outstanding at timeout";
   }
   if (r.retries > 0) os << "; " << r.retries << " retransmissions";
   os << "\n";
@@ -1062,7 +1062,7 @@ std::map<std::uint64_t, std::string> run_labels(const TraceData& trace) {
   std::map<std::uint64_t, std::string> labels;
   for (const auto& ev : trace.events) {
     if (ev.str("type") == "run_started") {
-      labels[static_cast<std::uint64_t>(ev.num("run"))] =
+      labels[as_count(ev.num("run"), "run")] =
           ev.has("label") ? ev.str("label") : "";
     }
   }
